@@ -88,5 +88,11 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
+# perfbench/ is a nested module the root ./... never sees: vet and
+# unit-test it (no bench run) so API changes that break it fail fast.
+.PHONY: perfbench-test
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Exactly what .github/workflows/ci.yml runs.
-ci: build fmt-check vet race bench bench-repair bench-resilience bench-optimizer bench-path bench-scale bench-storm
+ci: build fmt-check vet race perfbench-test bench bench-repair bench-resilience bench-optimizer bench-path bench-scale bench-storm

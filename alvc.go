@@ -341,12 +341,8 @@ func WithFailureDebounce(window time.Duration) Option {
 // engine attached.
 type Architecture struct {
 	topo *topology.Topology
-	// sh is the sharded orchestration layer every verb routes through;
-	// with one shard (the default) it is a thin pass-through. orch and
-	// alloc alias shard 0 for single-shard compatibility surfaces
-	// (Orchestrator(), BuildServiceClusters).
-	sh           *orch.Sharded
-	alloc        *cluster.Allocator
+	// orch is the orchestrator every verb routes through (one shard
+	// unless WithShards raised the count).
 	orch         *orch.Orchestrator
 	opt          *optimizer.Engine
 	events       *orch.EventMux
@@ -378,24 +374,28 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	for _, opt := range opts {
 		opt(&s)
 	}
-	sh, err := orch.NewSharded(orch.Config{
-		Topo:             topo,
-		Builder:          s.builder,
-		Policy:           s.policy,
-		Mode:             s.mode,
-		CostModel:        s.costModel,
-		Wavelengths:      s.wavelengths,
-		StandbyK:         s.standbyK,
-		DisablePathCache: s.disablePathCache,
-	}, s.shards, s.shardMode)
+	o, err := orch.New(orch.Config{
+		Topo:        topo,
+		Shards:      s.shards,
+		ShardMode:   s.shardMode,
+		Builder:     s.builder,
+		Policy:      s.policy,
+		Mode:        s.mode,
+		CostModel:   s.costModel,
+		Wavelengths: s.wavelengths,
+		StandbyK:    s.standbyK,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("alvc: %w", err)
 	}
+	if s.disablePathCache {
+		for i := 0; i < o.Shards(); i++ {
+			o.Shard(i).Controller().SetAlternativesCache(false)
+		}
+	}
 	arch := &Architecture{
 		topo:         topo,
-		sh:           sh,
-		alloc:        sh.Shard(0).Allocator(),
-		orch:         sh.Shard(0),
+		orch:         o,
 		batchWorkers: s.batchWorkers,
 	}
 	// Tracing is on by default (bounded store, default sizes); only an
@@ -408,7 +408,7 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	}
 	if traceOpts != nil {
 		arch.tracer = trace.NewTracer(trace.NewStore(*traceOpts))
-		sh.SetTracer(arch.tracer)
+		o.SetTracer(arch.tracer)
 	}
 	// Every shard emits into one multiplexer rather than claiming the
 	// orchestrator's single sink slot, so the optimizer, telemetry
@@ -416,24 +416,24 @@ func FromTopology(topo *topology.Topology, opts ...Option) (*Architecture, error
 	// (SubscribeEvents). The mux is always installed: event streaming
 	// works with or without an optimizer.
 	mux := orch.NewEventMux()
-	sh.SetEventSink(mux)
+	o.SetEventSink(mux)
 	arch.events = mux
 	if s.optimizer != nil {
-		eng, err := optimizer.New(sh, *s.optimizer)
+		eng, err := optimizer.New(o, *s.optimizer)
 		if err != nil {
 			return nil, fmt.Errorf("alvc: %w", err)
 		}
 		mux.Subscribe(eng)
 		// Only with an engine draining repair events may repairs defer
 		// standby replanning off the recovery hot path.
-		sh.SetDeferReprotect(true)
+		o.SetDeferReprotect(true)
 		if arch.tracer != nil {
 			eng.SetTracer(arch.tracer)
 		}
 		arch.opt = eng
 	}
 	if s.debounceWindow != nil {
-		arch.debounce = orch.NewFailureDebouncer(sh, *s.debounceWindow)
+		arch.debounce = orch.NewFailureDebouncer(o, *s.debounceWindow)
 		if arch.tracer != nil {
 			arch.debounce.SetTracer(arch.tracer)
 		}
@@ -459,29 +459,30 @@ func (a *Architecture) SubscribeEvents(s orch.EventSink) (cancel func(), ok bool
 // Topology returns the underlying network.
 func (a *Architecture) Topology() *Topology { return a.topo }
 
-// Orchestrator returns the underlying NFC orchestrator for advanced
-// inspection (flow tables, VNF lifecycle events, slices). Under
-// WithShards this is shard 0; use Sharded for the routed fleet view.
+// Orchestrator returns the underlying NFC orchestrator (one shard
+// unless WithShards raised the count) for advanced inspection: fleet
+// counters, per-shard allocators and flow tables (Shard,
+// ControllerOf), VNF lifecycle and slices.
 func (a *Architecture) Orchestrator() *orch.Orchestrator { return a.orch }
 
-// Sharded returns the sharded orchestration layer (one shard unless
-// WithShards raised the count): routed per-deployment verbs, fleet
-// merges and per-shard statistics.
-func (a *Architecture) Sharded() *orch.Sharded { return a.sh }
+// Sharded returns the orchestrator.
+//
+// Deprecated: use Orchestrator; it is the same object.
+func (a *Architecture) Sharded() *orch.Orchestrator { return a.orch }
 
 // ShardCount returns the number of orchestrator shards (1 without
 // WithShards).
-func (a *Architecture) ShardCount() int { return a.sh.Shards() }
+func (a *Architecture) ShardCount() int { return a.orch.Shards() }
 
 // ShardStats returns one statistics entry per shard, in shard order.
-func (a *Architecture) ShardStats() []ShardStat { return a.sh.ShardStats() }
+func (a *Architecture) ShardStats() []ShardStat { return a.orch.ShardStats() }
 
 // BuildServiceClusters constructs one virtual cluster per service
 // (paper §III, Fig. 1/3) — the pure clustering use of AL-VC, without
 // chains. The clusters claim OPSs from the same pool chain deployments
 // use (shard 0's partition when WithShards splits the pool).
 func (a *Architecture) BuildServiceClusters() ([]*VC, error) {
-	vcs, err := a.alloc.BuildAllByService()
+	vcs, err := a.orch.Shard(0).Allocator().BuildAllByService()
 	if err != nil {
 		return nil, fmt.Errorf("alvc: %w", err)
 	}
@@ -490,7 +491,7 @@ func (a *Architecture) BuildServiceClusters() ([]*VC, error) {
 
 // ReleaseCluster dissolves a cluster built by BuildServiceClusters.
 func (a *Architecture) ReleaseCluster(id cluster.VCID) error {
-	return a.alloc.Release(id)
+	return a.orch.Shard(0).Allocator().Release(id)
 }
 
 // Clusters returns all current virtual clusters (service clusters and
@@ -498,8 +499,8 @@ func (a *Architecture) ReleaseCluster(id cluster.VCID) error {
 // are per-allocator, so entries from different shards may share an ID.
 func (a *Architecture) Clusters() []*VC {
 	var out []*VC
-	for i := 0; i < a.sh.Shards(); i++ {
-		out = append(out, a.sh.Shard(i).Allocator().VCs()...)
+	for i := 0; i < a.orch.Shards(); i++ {
+		out = append(out, a.orch.Shard(i).Allocator().VCs()...)
 	}
 	return out
 }
@@ -507,14 +508,14 @@ func (a *Architecture) Clusters() []*VC {
 // Deploy provisions a chain end to end (paper §IV): virtual cluster,
 // optical slice, VNF placement and instantiation, SDN path.
 func (a *Architecture) Deploy(spec Spec) (*Deployment, error) {
-	return a.sh.Provision(spec)
+	return a.orch.Provision(spec)
 }
 
 // DeployCtx is Deploy carrying a request context: when the context
 // holds a span (the server middleware's root HTTP span), the provision
 // span and its per-stage children join that trace.
 func (a *Architecture) DeployCtx(ctx context.Context, spec Spec) (*Deployment, error) {
-	return a.sh.ProvisionCtx(ctx, spec)
+	return a.orch.ProvisionCtx(ctx, spec)
 }
 
 // DeployBatch provisions independent chain specs concurrently over a
@@ -523,7 +524,7 @@ func (a *Architecture) DeployCtx(ctx context.Context, spec Spec) (*Deployment, e
 // failures are rolled back and reported per item; they do not abort
 // the batch.
 func (a *Architecture) DeployBatch(specs []Spec) []BatchResult {
-	return a.sh.ProvisionBatch(specs, a.batchWorkers)
+	return a.orch.ProvisionBatch(specs, a.batchWorkers)
 }
 
 // BatchWorkers returns the configured batch worker-pool size (0 means
@@ -532,7 +533,7 @@ func (a *Architecture) BatchWorkers() int { return a.batchWorkers }
 
 // TopologyJSON serializes the topology consistently with respect to
 // concurrent failure injection and repair.
-func (a *Architecture) TopologyJSON() ([]byte, error) { return a.sh.TopologyJSON() }
+func (a *Architecture) TopologyJSON() ([]byte, error) { return a.orch.TopologyJSON() }
 
 // DeployRequest deploys a workload-generated chain request.
 func (a *Architecture) DeployRequest(req ChainRequest) (*Deployment, error) {
@@ -544,24 +545,24 @@ func (a *Architecture) DeployRequest(req ChainRequest) (*Deployment, error) {
 }
 
 // Delete tears a deployment down and releases its resources.
-func (a *Architecture) Delete(id DeploymentID) error { return a.sh.Delete(id) }
+func (a *Architecture) Delete(id DeploymentID) error { return a.orch.Delete(id) }
 
 // DeleteCtx is Delete carrying a request context for trace propagation.
 func (a *Architecture) DeleteCtx(ctx context.Context, id DeploymentID) error {
-	return a.sh.DeleteCtx(ctx, id)
+	return a.orch.DeleteCtx(ctx, id)
 }
 
 // Upgrade rolls every VNF of the chain to the next version.
-func (a *Architecture) Upgrade(id DeploymentID) error { return a.sh.Upgrade(id) }
+func (a *Architecture) Upgrade(id DeploymentID) error { return a.orch.Upgrade(id) }
 
 // Modify changes a deployment's bandwidth reservation.
 func (a *Architecture) Modify(id DeploymentID, bandwidthGbps float64) error {
-	return a.sh.Modify(id, bandwidthGbps)
+	return a.orch.Modify(id, bandwidthGbps)
 }
 
 // ScaleNF scales one NF of the chain to the given replica count.
 func (a *Architecture) ScaleNF(id DeploymentID, nfIndex, replicas int) error {
-	return a.sh.ScaleNF(id, nfIndex, replicas)
+	return a.orch.ScaleNF(id, nfIndex, replicas)
 }
 
 // FailNode injects a node failure (OPS, ToR or PM) and reconciles
@@ -571,13 +572,13 @@ func (a *Architecture) ScaleNF(id DeploymentID, nfIndex, replicas int) error {
 // impossible transition to the Failed state and are also reported
 // through the error.
 func (a *Architecture) FailNode(id NodeID) ([]RepairReport, error) {
-	return a.sh.HandleNodeFailure(id)
+	return a.orch.HandleNodeFailure(id)
 }
 
 // FailNodeCtx is FailNode carrying a request context: every repair it
 // triggers records a span in the context's trace.
 func (a *Architecture) FailNodeCtx(ctx context.Context, id NodeID) ([]RepairReport, error) {
-	return a.sh.HandleNodeFailureCtx(ctx, id)
+	return a.orch.HandleNodeFailureCtx(ctx, id)
 }
 
 // RepairedIDs filters a FailNode report list down to the chains whose
@@ -589,7 +590,7 @@ func RepairedIDs(reports []RepairReport) []DeploymentID {
 // RecoverNode marks a failed node as live again. Existing deployments
 // are not rebalanced; new deployments may use it immediately.
 func (a *Architecture) RecoverNode(id NodeID) error {
-	return a.sh.RecoverNode(id)
+	return a.orch.RecoverNode(id)
 }
 
 // FailLink injects a link failure and reconciles every chain whose
@@ -597,32 +598,32 @@ func (a *Architecture) RecoverNode(id NodeID) error {
 // standby when one survives (zero shortest-path runs), re-paths cold
 // otherwise; a dead standby link merely replans the standby.
 func (a *Architecture) FailLink(id LinkID) ([]RepairReport, error) {
-	return a.sh.HandleLinkFailure(id)
+	return a.orch.HandleLinkFailure(id)
 }
 
 // FailLinkCtx is FailLink carrying a request context for trace
 // propagation.
 func (a *Architecture) FailLinkCtx(ctx context.Context, id LinkID) ([]RepairReport, error) {
-	return a.sh.HandleLinkFailureCtx(ctx, id)
+	return a.orch.HandleLinkFailureCtx(ctx, id)
 }
 
 // RecoverLink marks a failed link as live again. Existing deployments
 // are not rerouted back; new paths may use it immediately.
 func (a *Architecture) RecoverLink(id LinkID) error {
-	return a.sh.RecoverLink(id)
+	return a.orch.RecoverLink(id)
 }
 
 // FailBatch injects a set of node and link failures as one event — a
 // rack-scale incident — and reconciles each affected chain exactly
 // once against the union of dead resources.
 func (a *Architecture) FailBatch(nodes []NodeID, links []LinkID) ([]RepairReport, error) {
-	return a.sh.HandleFailures(nodes, links)
+	return a.orch.HandleFailures(nodes, links)
 }
 
 // FailBatchCtx is FailBatch carrying a request context for trace
 // propagation.
 func (a *Architecture) FailBatchCtx(ctx context.Context, nodes []NodeID, links []LinkID) ([]RepairReport, error) {
-	return a.sh.HandleFailuresCtx(ctx, nodes, links)
+	return a.orch.HandleFailuresCtx(ctx, nodes, links)
 }
 
 // ReportFailures feeds a failure notification into the debouncer
@@ -639,7 +640,7 @@ func (a *Architecture) ReportFailures(nodes []NodeID, links []LinkID) {
 // the coalesced repairs.
 func (a *Architecture) ReportFailuresCtx(ctx context.Context, nodes []NodeID, links []LinkID) {
 	if a.debounce == nil {
-		_, _ = a.sh.HandleFailuresCtx(ctx, nodes, links)
+		_, _ = a.orch.HandleFailuresCtx(ctx, nodes, links)
 		return
 	}
 	a.debounce.ReportCtx(ctx, nodes, links)
@@ -672,17 +673,17 @@ func (a *Architecture) Debouncer() *FailureDebouncer { return a.debounce }
 // that would be affected if it died, with the roles the node plays
 // (slice / host / path / standby), from the reverse index.
 func (a *Architecture) NodeImpact(id NodeID) []ImpactEntry {
-	return a.sh.NodeImpact(id)
+	return a.orch.NodeImpact(id)
 }
 
 // LinkImpact returns the blast radius of a link (roles: path /
 // standby).
 func (a *Architecture) LinkImpact(id LinkID) []ImpactEntry {
-	return a.sh.LinkImpact(id)
+	return a.orch.LinkImpact(id)
 }
 
 // Repair rebuilds one deployment around the current topology state.
-func (a *Architecture) Repair(id DeploymentID) error { return a.sh.Repair(id) }
+func (a *Architecture) Repair(id DeploymentID) error { return a.orch.Repair(id) }
 
 // Tracer returns the request-scoped tracer, or nil when tracing was
 // disabled with WithTracing(nil). A nil Tracer is safe to call.
@@ -721,16 +722,16 @@ func (a *Architecture) Optimize() []OptimizerTaskResult {
 }
 
 // Deployments lists all deployments.
-func (a *Architecture) Deployments() []*Deployment { return a.sh.Deployments() }
+func (a *Architecture) Deployments() []*Deployment { return a.orch.Deployments() }
 
 // Deployment returns one deployment, or nil.
-func (a *Architecture) Deployment(id DeploymentID) *Deployment { return a.sh.Deployment(id) }
+func (a *Architecture) Deployment(id DeploymentID) *Deployment { return a.orch.Deployment(id) }
 
 // MeasureDeployment replays n representative flows of the deployment
 // through the flow simulator and returns the measured aggregate
 // (hops, O/E/O conversions, energy, latency).
 func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, error) {
-	dep := a.sh.Deployment(id)
+	dep := a.orch.Deployment(id)
 	if dep == nil {
 		return FlowResult{}, fmt.Errorf("alvc: measure: unknown deployment %d", id)
 	}
@@ -764,7 +765,7 @@ func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, er
 	}
 	// Credit the flow-table counters like a switch would (OpenFlow
 	// statistics): each replayed flow hits every rule on its path once.
-	a.sh.ControllerOf(dep.ID).RecordHits(dep.FlowKey(), int64(n))
+	a.orch.ControllerOf(dep.ID).RecordHits(dep.FlowKey(), int64(n))
 	return res, nil
 }
 
@@ -773,7 +774,7 @@ func (a *Architecture) MeasureDeployment(id DeploymentID, n int) (FlowResult, er
 // required" operation (§I), and the online form of Fig. 8's
 // move-into-the-optical-domain optimization.
 func (a *Architecture) MoveNF(id DeploymentID, nfIndex int, to NodeID) error {
-	return a.sh.MoveNF(id, nfIndex, to)
+	return a.orch.MoveNF(id, nfIndex, to)
 }
 
 // Summary condenses the architecture's state.
@@ -799,9 +800,9 @@ func (a *Architecture) Summarize() Summary {
 		OptoelectronicOPSs: stats.OptoelectronicOPSs,
 		Services:           stats.Services,
 		Clusters:           len(a.Clusters()),
-		InstalledRules:     a.sh.RuleCount(),
+		InstalledRules:     a.orch.RuleCount(),
 	}
-	for _, dep := range a.sh.Deployments() {
+	for _, dep := range a.orch.Deployments() {
 		if dep.State == orch.StateActive {
 			s.ActiveDeployments++
 			s.TotalConversions += dep.Conversions

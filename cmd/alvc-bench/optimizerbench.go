@@ -124,17 +124,17 @@ func rackEventFor(arch *alvc.Architecture) (nodes []alvc.NodeID, links []alvc.Li
 }
 
 func measureRecovery(arch *alvc.Architecture, nodes []alvc.NodeID, links []alvc.LinkID) (optRecoverStats, []alvc.DeploymentID, error) {
-	ctrl := arch.Orchestrator().Controller()
-	yenBefore := ctrl.YenRuns()
-	compBefore := ctrl.PathComputations()
+	fleet := arch.Orchestrator()
+	yenBefore := fleet.YenRuns()
+	compBefore := fleet.PathComputations()
 	start := time.Now()
 	reports, _ := arch.FailBatch(nodes, links) // per-chain outcomes inspected below
 	elapsed := time.Since(start)
 	stats := optRecoverStats{
 		Affected:         len(reports),
 		RepairMs:         float64(elapsed) / float64(time.Millisecond),
-		YenRuns:          ctrl.YenRuns() - yenBefore,
-		PathComputations: ctrl.PathComputations() - compBefore,
+		YenRuns:          fleet.YenRuns() - yenBefore,
+		PathComputations: fleet.PathComputations() - compBefore,
 		Actions:          make(map[string]int),
 	}
 	var affected []alvc.DeploymentID
@@ -203,12 +203,12 @@ func runOptimizerFleet(chains int) (optFleetSample, error) {
 	if err != nil {
 		return sample, err
 	}
-	ctrl := async.Orchestrator().Controller()
-	yenBefore := ctrl.YenRuns()
+	fleet := async.Orchestrator()
+	yenBefore := fleet.YenRuns()
 	start := time.Now()
 	results := async.Optimize()
 	stats.DrainMs = float64(time.Since(start)) / float64(time.Millisecond)
-	stats.DrainYenRuns = ctrl.YenRuns() - yenBefore
+	stats.DrainYenRuns = fleet.YenRuns() - yenBefore
 	stats.DrainedTasks = len(results)
 	countProtection(async, affected, &stats)
 

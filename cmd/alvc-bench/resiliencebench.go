@@ -176,14 +176,14 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 	if victim == 0 {
 		return nil, fmt.Errorf("resilience bench: no swap victim on chain 1 (standby=%v)", dep.Standby)
 	}
-	before := arch.Orchestrator().Controller().PathComputations()
+	before := arch.Orchestrator().PathComputations()
 	start := time.Now()
 	reports, err := arch.FailNode(victim)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("contract FailNode: %w", err)
 	}
-	report.Contract.PathComputations = arch.Orchestrator().Controller().PathComputations() - before
+	report.Contract.PathComputations = arch.Orchestrator().PathComputations() - before
 	report.Contract.SwapMs = float64(elapsed) / float64(time.Millisecond)
 	for _, rep := range reports {
 		if rep.ID == dep.ID {
@@ -200,13 +200,13 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 	if err := provisionFleet(coldArch, 1); err != nil {
 		return nil, err
 	}
-	before = coldArch.Orchestrator().Controller().PathComputations()
+	before = coldArch.Orchestrator().PathComputations()
 	start = time.Now()
 	if _, err := coldArch.FailNode(victim); err != nil {
 		return nil, fmt.Errorf("contract cold FailNode: %w", err)
 	}
 	report.Contract.ColdMs = float64(time.Since(start)) / float64(time.Millisecond)
-	report.Contract.ColdPathComputations = coldArch.Orchestrator().Controller().PathComputations() - before
+	report.Contract.ColdPathComputations = coldArch.Orchestrator().PathComputations() - before
 	if report.Contract.SwapMs > 0 {
 		report.Contract.Speedup = report.Contract.ColdMs / report.Contract.SwapMs
 	}
@@ -246,19 +246,19 @@ func runResilienceBench(chains int) (*resilienceBenchReport, error) {
 		if victim == 0 {
 			return nil, fmt.Errorf("resilience bench: no ToR victim in %s fleet", mode.name)
 		}
-		ctrl := arch.Orchestrator().Controller()
-		compsBefore := ctrl.PathComputations()
-		yenBefore := ctrl.YenRuns()
-		_, rulesBefore := ctrl.Stats()
+		fleet := arch.Orchestrator()
+		compsBefore := fleet.PathComputations()
+		yenBefore := fleet.YenRuns()
+		rulesBefore := rulesInstalled(arch)
 		start := time.Now()
 		reports, _ := arch.FailNode(victim) // per-chain failures are reported below
 		elapsed := time.Since(start)
-		_, rulesAfter := ctrl.Stats()
+		rulesAfter := rulesInstalled(arch)
 		sample := fleetSample{
 			Affected:         len(reports),
 			RepairMs:         float64(elapsed) / float64(time.Millisecond),
-			PathComputations: ctrl.PathComputations() - compsBefore,
-			YenRuns:          ctrl.YenRuns() - yenBefore,
+			PathComputations: fleet.PathComputations() - compsBefore,
+			YenRuns:          fleet.YenRuns() - yenBefore,
 			RulesInstalled:   rulesAfter - rulesBefore,
 			Actions:          make(map[string]int),
 		}
@@ -388,6 +388,17 @@ func resilienceViolations(r *resilienceBenchReport) int {
 	}
 	if r.Fleet.Standby.FailedRepairs > 0 {
 		n++
+	}
+	return n
+}
+
+// rulesInstalled sums the cumulative flow-rule installs of every
+// shard's SDN controller.
+func rulesInstalled(arch *alvc.Architecture) int {
+	o, n := arch.Orchestrator(), 0
+	for i := 0; i < o.Shards(); i++ {
+		_, rules := o.Shard(i).Controller().Stats()
+		n += rules
 	}
 	return n
 }

@@ -415,11 +415,11 @@ func stormRound(chains int) (*stormBenchReport, error) {
 	// Drain the batched fleet's re-protection backlog: the storm-mode
 	// group tasks re-protect each chain exactly once per domain,
 	// bucketing shared endpoint pairs so Yen runs once per bucket.
-	drainYenBefore := batchArch.Sharded().YenRuns()
-	hitsBefore, missesBefore := batchArch.Sharded().CandidateCacheStats()
+	drainYenBefore := batchArch.Orchestrator().YenRuns()
+	hitsBefore, missesBefore := batchArch.Orchestrator().CandidateCacheStats()
 	results := batchArch.Optimize()
-	report.DrainYenRuns = batchArch.Sharded().YenRuns() - drainYenBefore
-	hits, misses := batchArch.Sharded().CandidateCacheStats()
+	report.DrainYenRuns = batchArch.Orchestrator().YenRuns() - drainYenBefore
+	hits, misses := batchArch.Orchestrator().CandidateCacheStats()
 	report.CandidateCacheHits = hits - hitsBefore
 	report.CandidateCacheMisses = misses - missesBefore
 	report.DrainedTasks = len(results)
@@ -453,9 +453,9 @@ func stormRound(chains int) (*stormBenchReport, error) {
 
 	// Drain the baseline fleet the per-chain way and count what it cost:
 	// no grouping, no cache — every chain pays Yen per path segment.
-	baseYenBefore := baseArch.Sharded().YenRuns()
+	baseYenBefore := baseArch.Orchestrator().YenRuns()
 	baseArch.Optimize()
-	report.BaselineDrainYenRuns = baseArch.Sharded().YenRuns() - baseYenBefore
+	report.BaselineDrainYenRuns = baseArch.Orchestrator().YenRuns() - baseYenBefore
 	return report, nil
 }
 

@@ -122,7 +122,7 @@ func TestFullPaperStory(t *testing.T) {
 	if res.Flows != 200 || res.MeanHops == 0 {
 		t.Fatalf("flow result = %+v", res)
 	}
-	hits := arch.Orchestrator().Controller().FlowHits(arch.Deployment(blue.ID).FlowKey())
+	hits := arch.Orchestrator().ControllerOf(blue.ID).FlowHits(arch.Deployment(blue.ID).FlowKey())
 	if hits == 0 {
 		t.Fatal("flow-table counters did not move")
 	}
@@ -137,7 +137,8 @@ func TestFullPaperStory(t *testing.T) {
 	if final.ActiveDeployments != 0 || final.Clusters != 0 {
 		t.Fatalf("leaks after teardown: %+v", final)
 	}
-	if !arch.Orchestrator().Allocator().Disjoint() || !arch.Orchestrator().Slices().Disjoint() {
+	assertFleetDisjoint(t, arch.Orchestrator())
+	if !arch.Orchestrator().Slices().Disjoint() {
 		t.Fatal("disjointness violated at the end")
 	}
 }
@@ -174,5 +175,36 @@ func TestMoveNFThroughFacade(t *testing.T) {
 	after := arch.Deployment(dep.ID)
 	if after.Conversions != before-1 {
 		t.Fatalf("conversions %d -> %d, want -1", before, after.Conversions)
+	}
+}
+
+// assertFleetDisjoint checks the one-OPS-one-AL rule across the whole
+// fleet: every shard's allocator keeps its ALs disjoint, the shard OPS
+// pools are pairwise disjoint, and no OPS is owned by ALs on two
+// shards.
+func assertFleetDisjoint(t *testing.T, o *orch.Orchestrator) {
+	t.Helper()
+	owner := map[topology.NodeID]int{}
+	for i := 0; i < o.Shards(); i++ {
+		a := o.Shard(i).Allocator()
+		if !a.Disjoint() {
+			t.Fatalf("shard %d: ALs are not disjoint", i)
+		}
+		for j := i + 1; j < o.Shards(); j++ {
+			other := o.Shard(j).Allocator().Pool()
+			for ops := range a.Pool() {
+				if other[ops] {
+					t.Fatalf("OPS %d is in the pools of shards %d and %d", ops, i, j)
+				}
+			}
+		}
+		for _, vc := range a.VCs() {
+			for _, ops := range vc.AL.OPSs {
+				if prev, ok := owner[ops]; ok && prev != i {
+					t.Fatalf("OPS %d is owned by ALs on shards %d and %d", ops, prev, i)
+				}
+				owner[ops] = i
+			}
+		}
 	}
 }

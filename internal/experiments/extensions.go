@@ -80,7 +80,7 @@ func E13FailureRepair() (*Result, error) {
 	} else {
 		res.Violations = append(res.Violations, "a failure left a chain down or still using the failed OPS")
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !o.Shard(0).Allocator().Disjoint() || !o.Slices().Disjoint() {
 		res.Violations = append(res.Violations, "disjointness violated during repairs")
 	} else {
 		res.Findings = append(res.Findings, "AL/slice disjointness held through every repair")

@@ -74,13 +74,13 @@ func E5ChainDeploy() (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E5: provision %s: %w", spec.Name, err)
 		}
-		rules := o.Controller().RulesForFlow(dep.FlowKey())
+		rules := o.ControllerOf(dep.ID).RulesForFlow(dep.FlowKey())
 		tbl.AddRow(spec.Name, fmt.Sprint(len(spec.NFs)), fmt.Sprint(dep.VC.AL.Size()),
 			fmt.Sprint(len(dep.Path)-1), fmt.Sprint(len(rules)),
 			fmt.Sprint(dep.Conversions), fmt.Sprint(dep.SliceConfined))
 	}
 	res.Tables = append(res.Tables, tbl)
-	if o.ActiveCount() == 3 && o.Allocator().Disjoint() && o.Slices().Disjoint() {
+	if o.ActiveCount() == 3 && o.Shard(0).Allocator().Disjoint() && o.Slices().Disjoint() {
 		res.Findings = append(res.Findings,
 			"all three Fig. 5 chains route over disjoint ALs with per-chain flow rules")
 	} else {
@@ -149,7 +149,7 @@ func E6Lifecycle() (*Result, error) {
 				return nil, fmt.Errorf("E6 round %d: delete: %w", round, err)
 			}
 		}
-		leaks := o.ActiveCount() + len(o.Slices().Slices()) + len(o.Allocator().VCs())
+		leaks := o.ActiveCount() + len(o.Slices().Slices()) + len(o.Shard(0).Allocator().VCs())
 		tbl.AddRow(fmt.Sprint(round), "3", "3", "3", "3", "3", fmt.Sprint(leaks))
 		totalOps += 15
 		if leaks != 0 {

@@ -42,34 +42,24 @@ import (
 )
 
 // Target is the orchestration surface the engine optimizes against:
-// the fleet sweep plus the three maintenance verbs. Both a standalone
-// *orch.Orchestrator and the sharded *orch.Sharded facade satisfy it,
-// so one engine serves either.
+// the fleet sweep, the maintenance verbs, and the shard routing the
+// engine keys its per-shard work queues on. *orch.Orchestrator
+// implements it; tests substitute wrappers that count calls.
 type Target interface {
 	Deployments() []*orch.Deployment
 	ReProtect(id orch.DeploymentID) (*resilience.Standby, bool, error)
+	// ReProtectGroup hands a storm-group task's whole failure domain to
+	// the orchestrator in one call: the group planner runs Yen once per
+	// unique (endpoint, pool) bucket and shares the candidates across
+	// the domain's chains.
+	ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport
 	Rehome(id orch.DeploymentID, margin int) (bool, error)
 	DefragLambda(id orch.DeploymentID) (from, to int, retuned bool, err error)
-}
-
-// shardedTarget is the optional routing surface a sharded target
-// exposes. When the target implements it with more than one shard, the
-// engine keeps one work queue per shard so enqueues from different
-// shards' repair fan-outs never contend on a single queue lock.
-type shardedTarget interface {
+	// Shards and ShardOf route work: the engine keeps one queue per
+	// shard so enqueues from different shards' repair fan-outs never
+	// contend on a single queue lock.
 	Shards() int
 	ShardOf(id orch.DeploymentID) int
-}
-
-// groupTarget is the optional domain-level re-protection surface. When
-// the target implements it, storm-group tasks hand the whole domain to
-// the orchestrator in one call — the group planner Yens once per
-// unique (endpoint, pool) bucket and shares the candidates across the
-// domain's chains — instead of fanning back out to per-chain
-// ReProtect. Both *orch.Orchestrator and *orch.Sharded implement it;
-// the interface keeps the engine usable against minimal test targets.
-type groupTarget interface {
-	ReProtectGroup(domain string, ids []orch.DeploymentID) orch.GroupReport
 }
 
 // TaskKind names one maintenance task type. Smaller is higher
@@ -275,8 +265,7 @@ type shardQueue struct {
 }
 
 // Engine is the background optimization engine over one orchestration
-// target (a standalone orchestrator or the sharded facade, with one
-// queue per shard in the latter case). It implements orch.EventSink;
+// target, with one work queue per shard. It implements orch.EventSink;
 // attach it with SetEventSink (the alvc facade's WithOptimizer does
 // this). Safe for concurrent use.
 type Engine struct {
@@ -329,16 +318,11 @@ func New(o Target, opts Options) (*Engine, error) {
 	if o == nil {
 		return nil, fmt.Errorf("optimizer: nil orchestrator")
 	}
-	shards := 1
-	shardOf := func(orch.DeploymentID) int { return 0 }
-	if st, ok := o.(shardedTarget); ok && st.Shards() > 1 {
-		shards = st.Shards()
-		shardOf = st.ShardOf
-	}
+	shards := o.Shards()
 	e := &Engine{
 		o:         o,
 		opts:      opts.withDefaults(),
-		shardOf:   shardOf,
+		shardOf:   o.ShardOf,
 		queues:    make([]*shardQueue, shards),
 		highWater: make([]int, shards),
 		groups:    make(map[string][]orch.DeploymentID),
@@ -918,11 +902,10 @@ func (e *Engine) runTask(t task) (res TaskResult, requeue bool) {
 }
 
 // runGroupTask executes one storm-mode group task: it claims the
-// domain's accumulated members and re-protects each exactly once. When
-// the target exposes ReProtectGroup the whole domain goes down in one
-// call — the group planner shares the Yen candidate searches across
-// every member — and per-chain ReProtect is only the fallback for
-// minimal targets. Busy members requeue as ordinary per-deployment
+// domain's accumulated members and re-protects each exactly once. The
+// whole domain goes down in one ReProtectGroup call — the group planner
+// shares the Yen candidate searches across every member. Busy members
+// requeue as ordinary per-deployment
 // tasks (the storm may be over by then); deleted ones are moot.
 // Members reported after the claim re-accumulate under the domain and
 // re-create the group task.
@@ -952,58 +935,33 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 		}
 	}
 	protected, already, busy, failed := 0, 0, 0, 0
-	var gstats resilience.GroupStats
-	grouped := false
-	if gt, ok := e.o.(groupTarget); ok {
-		grouped = true
-		grep := gt.ReProtectGroup(t.key.domain, members)
-		gstats = grep.Stats
-		for _, out := range grep.Outcomes {
-			switch {
-			case out.Err == nil && out.Replanned:
-				protected++
-			case out.Err == nil:
-				already++
-			case errors.Is(out.Err, orch.ErrBusy):
-				busy++
-				e.enqueue(task{key: taskKey{dep: out.ID, kind: KindReProtect}})
-			case errors.Is(out.Err, orch.ErrUnknownDeployment), errors.Is(out.Err, orch.ErrNotActive):
-				// Deleted mid-storm: nothing to protect.
-			default:
-				failed++
-			}
-		}
-		e.mu.Lock()
-		e.groupPlan.Planned += gstats.Planned
-		e.groupPlan.Buckets += gstats.Buckets
-		e.groupPlan.SharedChains += gstats.SharedChains
-		e.groupPlan.Fallbacks += gstats.Fallbacks
-		e.mu.Unlock()
-	} else {
-		for _, id := range members {
-			_, replanned, err := e.o.ReProtect(id)
-			switch {
-			case err == nil && replanned:
-				protected++
-			case err == nil:
-				already++
-			case errors.Is(err, orch.ErrBusy):
-				busy++
-				e.enqueue(task{key: taskKey{dep: id, kind: KindReProtect}})
-			case errors.Is(err, orch.ErrUnknownDeployment), errors.Is(err, orch.ErrNotActive):
-				// Deleted mid-storm: nothing to protect.
-			default:
-				failed++
-			}
+	grep := e.o.ReProtectGroup(t.key.domain, members)
+	gstats := grep.Stats
+	for _, out := range grep.Outcomes {
+		switch {
+		case out.Err == nil && out.Replanned:
+			protected++
+		case out.Err == nil:
+			already++
+		case errors.Is(out.Err, orch.ErrBusy):
+			busy++
+			e.enqueue(task{key: taskKey{dep: out.ID, kind: KindReProtect}})
+		case errors.Is(out.Err, orch.ErrUnknownDeployment), errors.Is(out.Err, orch.ErrNotActive):
+			// Deleted mid-storm: nothing to protect.
+		default:
+			failed++
 		}
 	}
+	e.mu.Lock()
+	e.groupPlan.Planned += gstats.Planned
+	e.groupPlan.Buckets += gstats.Buckets
+	e.groupPlan.SharedChains += gstats.SharedChains
+	e.groupPlan.Fallbacks += gstats.Fallbacks
+	e.mu.Unlock()
 	res := TaskResult{Kind: t.key.kind.String(), Outcome: "storm-group", When: time.Now()}
-	res.Detail = fmt.Sprintf("domain %s: %d chains (%d protected, %d already, %d busy requeued, %d failed)",
-		t.key.domain, len(members), protected, already, busy, failed)
-	if grouped {
-		res.Detail += fmt.Sprintf("; %d segment requests in %d buckets, %d shared",
-			gstats.SegmentRequests, gstats.Buckets, gstats.SharedChains)
-	}
+	res.Detail = fmt.Sprintf("domain %s: %d chains (%d protected, %d already, %d busy requeued, %d failed); %d segment requests in %d buckets, %d shared",
+		t.key.domain, len(members), protected, already, busy, failed,
+		gstats.SegmentRequests, gstats.Buckets, gstats.SharedChains)
 	if failed > 0 {
 		res.Outcome = "failed"
 	}
@@ -1015,12 +973,9 @@ func (e *Engine) runGroupTask(t task) TaskResult {
 				{Key: "domain", Value: t.key.domain},
 				{Key: "chains", Value: fmt.Sprintf("%d", len(members))},
 				{Key: "outcome", Value: res.Outcome},
+				{Key: "buckets", Value: fmt.Sprintf("%d", gstats.Buckets)},
+				{Key: "shared", Value: fmt.Sprintf("%d", gstats.SharedChains)},
 			}}
-		if grouped {
-			sp.Attrs = append(sp.Attrs,
-				trace.Attr{Key: "buckets", Value: fmt.Sprintf("%d", gstats.Buckets)},
-				trace.Attr{Key: "shared", Value: fmt.Sprintf("%d", gstats.SharedChains)})
-		}
 		for _, p := range parents[1:] {
 			if p.TraceID != sc.TraceID {
 				sp.Links = append(sp.Links, p.TraceID)

@@ -142,7 +142,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	// Primary transit ToR dies (the OPSs are AL members and would
 	// classify as a slice patch): swap, zero Yen runs inline.
 	victim := tors[0][0]
-	yenBefore := o.Controller().YenRuns()
+	yenBefore := o.YenRuns()
 	reports, err := o.HandleNodeFailure(victim)
 	if err != nil {
 		t.Fatalf("HandleNodeFailure: %v", err)
@@ -150,7 +150,7 @@ func TestRefreshEndToEnd(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != orch.ActionSwapped {
 		t.Fatalf("reports = %+v, want swapped", reports)
 	}
-	if got := o.Controller().YenRuns(); got != yenBefore {
+	if got := o.YenRuns(); got != yenBefore {
 		t.Fatalf("swap ran %d Yen searches", got-yenBefore)
 	}
 	if cur := o.Deployment(dep.ID); cur.Standby != nil {

@@ -67,10 +67,11 @@ func runPool(n, workers int, fn func(i int)) {
 // rolled back exactly as a lone Provision would be, and reported in its
 // BatchResult. Specs that collide on flow key (tenant/name) with each
 // other are rejected up front — a batch must not race against itself
-// for the same SDN flow table entry.
+// for the same SDN flow table entry; cross-request duplicates are
+// caught by the owning shard (same key → same shard, always).
 //
 // The pool is bounded by workers (DefaultBatchWorkers when <= 0): the
-// per-deployment state stays guarded by the orchestrator's locks, so
+// per-deployment state stays guarded by the shards' locks, so
 // correctness does not depend on the pool size, only contention does.
 func (o *Orchestrator) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult {
 	results := make([]BatchResult, len(specs))

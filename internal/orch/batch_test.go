@@ -81,12 +81,12 @@ func TestProvisionBatch100(t *testing.T) {
 	if n := o.ActiveCount(); n != 100 {
 		t.Fatalf("active count %d, want 100", n)
 	}
-	if !o.Allocator().Disjoint() {
+	if !o.shards[0].Allocator().Disjoint() {
 		t.Fatal("ALs not disjoint after batch")
 	}
 	// Every deployment got its own flow rules.
 	for _, res := range results {
-		if len(o.Controller().RulesForFlow(res.Deployment.FlowKey())) == 0 {
+		if len(o.shards[0].Controller().RulesForFlow(res.Deployment.FlowKey())) == 0 {
 			t.Fatalf("no flow rules for %s", res.Deployment.FlowKey())
 		}
 	}
@@ -111,7 +111,7 @@ func TestProvisionBatchPartialFailure(t *testing.T) {
 	if got := o.ActiveCount(); got != ok {
 		t.Fatalf("active count %d != successful results %d", got, ok)
 	}
-	if !o.Allocator().Disjoint() {
+	if !o.shards[0].Allocator().Disjoint() {
 		t.Fatal("ALs not disjoint after partial failure")
 	}
 }
@@ -152,7 +152,7 @@ func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 		got := o.Deployment(dep.ID)
 		switch got.State {
 		case StateDeleted:
-			if o.Allocator().VC(got.VC.ID) != nil {
+			if o.shards[0].Allocator().VC(got.VC.ID) != nil {
 				t.Fatalf("deleted deployment still owns VC %d", got.VC.ID)
 			}
 		case StateActive:
@@ -160,7 +160,7 @@ func TestConcurrentDeleteVsRepairExclusive(t *testing.T) {
 		default:
 			t.Fatalf("unexpected terminal state %s", got.State)
 		}
-		if !o.Allocator().Disjoint() {
+		if !o.shards[0].Allocator().Disjoint() {
 			t.Fatal("ALs not disjoint after delete/repair race")
 		}
 	}

@@ -3,9 +3,12 @@ package orch
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/trace"
 )
 
 // TestConcurrentProvisionDelete hammers the orchestrator from multiple
@@ -48,7 +51,7 @@ func TestConcurrentProvisionDelete(t *testing.T) {
 	if o.ActiveCount() != 0 {
 		t.Fatalf("active deployments leaked: %d", o.ActiveCount())
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !o.shards[0].Allocator().Disjoint() || !o.Slices().Disjoint() {
 		t.Fatal("disjointness violated under concurrency")
 	}
 	if len(o.Slices().Slices()) != 0 {
@@ -78,7 +81,7 @@ func TestConcurrentReads(t *testing.T) {
 				_ = o.Deployment(dep.ID)
 				_ = o.Deployments()
 				_ = o.ActiveCount()
-				_ = o.Controller().RuleCount()
+				_ = o.shards[0].Controller().RuleCount()
 			}
 		}()
 	}
@@ -92,4 +95,44 @@ func TestConcurrentReads(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestHookSwapDuringProvision swaps the shared instrumentation hooks
+// while every shard provisions: the pipeline reads them lock-free, so
+// run with -race.
+func TestHookSwapDuringProvision(t *testing.T) {
+	o := newSharded(t, shardTopo(t, 32), 4, ShardByTenant)
+	var stages atomic.Int64
+	tr := trace.NewTracer(trace.NewStore(trace.StoreOptions{}))
+	mux := NewEventMux()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			o.SetStageObserver(func(string, time.Duration) { stages.Add(1) })
+			o.SetTracer(tr)
+			o.SetEventSink(mux)
+			o.SetDeferReprotect(i%2 == 0)
+			o.SetTracer(nil)
+			o.SetEventSink(nil)
+		}
+	}()
+	specs := make([]chain.Spec, 16)
+	for i := range specs {
+		specs[i] = tenantSpec(t, i)
+	}
+	for _, res := range o.ProvisionBatch(specs, 4) {
+		if res.Err != nil {
+			t.Fatalf("spec %d: %v", res.Index, res.Err)
+		}
+	}
+	<-done
+	o.SetStageObserver(func(string, time.Duration) { stages.Add(1) })
+	if _, err := o.Provision(tenantSpec(t, len(specs))); err != nil {
+		t.Fatalf("Provision: %v", err)
+	}
+	if stages.Load() == 0 {
+		t.Fatal("stage observer never ran")
+	}
+	assertDrainsClean(t, o)
 }

@@ -21,16 +21,9 @@ import (
 )
 
 // FailureHandler is the reconciliation entry point the debouncer
-// drives. Orchestrator and Sharded both satisfy it.
+// drives; *Orchestrator satisfies it. The context carries the batch
+// span the debouncer opens, so the repair spans join its trace.
 type FailureHandler interface {
-	HandleFailures(nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error)
-}
-
-// ctxFailureHandler is the context-carrying reconciliation entry point.
-// Orchestrator and Sharded both satisfy it; the debouncer dispatches
-// through it when available so the batch span it opens reaches the
-// repair spans. Unexported so FailureHandler stays the public contract.
-type ctxFailureHandler interface {
 	HandleFailuresCtx(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error)
 }
 
@@ -222,13 +215,7 @@ func (d *FailureDebouncer) Flush() ([]RepairReport, error) {
 	}
 
 	start := time.Now()
-	var reports []RepairReport
-	var err error
-	if ch, ok := d.h.(ctxFailureHandler); ok {
-		reports, err = ch.HandleFailuresCtx(ctx, nodes, links)
-	} else {
-		reports, err = d.h.HandleFailures(nodes, links)
-	}
+	reports, err := d.h.HandleFailuresCtx(ctx, nodes, links)
 	elapsed := time.Since(start)
 	if tr != nil {
 		sp := trace.Span{TraceID: sc.TraceID, SpanID: sc.SpanID,

@@ -1,6 +1,7 @@
 package orch
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ type fakeHandler struct {
 	batches [][2][]int // [nodes, links] as ints for easy comparison
 }
 
-func (f *fakeHandler) HandleFailures(nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
+func (f *fakeHandler) HandleFailuresCtx(_ context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var ns, ls []int

@@ -81,50 +81,16 @@ type EventSink interface {
 	OrchEvent(Event)
 }
 
-// SetEventSink attaches (or, with nil, detaches) the event sink.
-// Attaching a sink is purely observational — telemetry bridges and
-// event muxes may subscribe freely; whether repairs defer standby
-// replanning to a background optimizer is a separate switch
-// (SetDeferReprotect), flipped only when an optimizer is actually
-// consuming the events.
-func (o *Orchestrator) SetEventSink(s EventSink) {
-	o.mu.Lock()
-	o.sink = s
-	o.mu.Unlock()
-}
-
-func (o *Orchestrator) eventSink() EventSink {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.sink
-}
-
-// SetDeferReprotect switches standby replanning between inline and
-// deferred mode. Deferred: repair re-runs of the pipeline stop
-// planning standbys inline — Yen's search leaves the recovery hot
-// path entirely — and instead rely on a background optimizer
-// re-protecting the chain from the emitted repair-completed event.
-// Provision-time standby planning is unaffected. Only flip this on
-// when such an optimizer is subscribed, or repaired chains stay
-// unprotected.
-func (o *Orchestrator) SetDeferReprotect(v bool) {
-	o.mu.Lock()
-	o.deferReprotect = v
-	o.mu.Unlock()
-}
-
 // asyncOptimize reports whether repairs defer standby replanning to a
-// background optimizer instead of running Yen's inline.
-func (o *Orchestrator) asyncOptimize() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.deferReprotect
-}
+// background optimizer instead of running Yen's inline (see
+// Orchestrator.SetDeferReprotect).
+func (c *sharedCore) asyncOptimize() bool { return c.hooks().deferReprotect }
 
 // emit delivers the event to the attached sink, if any. Callers must
-// not hold o.mu or topoMu (the sink may read orchestrator state).
-func (o *Orchestrator) emit(ev Event) {
-	if s := o.eventSink(); s != nil {
+// not hold a shard's mu or topoMu (the sink may read orchestrator
+// state).
+func (c *sharedCore) emit(ev Event) {
+	if s := c.hooks().sink; s != nil {
 		s.OrchEvent(ev)
 	}
 }

@@ -25,7 +25,7 @@ func TestRepairRebuildsChain(t *testing.T) {
 		t.Fatalf("repairs = %d, want 1", got.Repairs)
 	}
 	// Rebuilt resources are live: rules installed, instances active.
-	rules := o.Controller().RulesForFlow(got.FlowKey())
+	rules := o.shards[0].Controller().RulesForFlow(got.FlowKey())
 	if len(rules) != len(got.Path) {
 		t.Fatalf("rules = %d, want %d", len(rules), len(got.Path))
 	}
@@ -34,7 +34,7 @@ func TestRepairRebuildsChain(t *testing.T) {
 			t.Fatalf("instance %d state = %s", id, inst.State)
 		}
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !o.shards[0].Allocator().Disjoint() || !o.Slices().Disjoint() {
 		t.Fatal("disjointness violated after repair")
 	}
 }
@@ -220,17 +220,17 @@ func TestWDMBlockingRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision 1: %v", err)
 	}
-	availBefore := len(o.Allocator().AvailableOPS())
-	rulesBefore := o.Controller().RuleCount()
+	availBefore := len(o.shards[0].Allocator().AvailableOPS())
+	rulesBefore := o.shards[0].Controller().RuleCount()
 	_, err = o.Provision(webSpec(t, "chain-2"))
 	if err == nil {
 		// Paths may be disjoint on this topology; nothing to assert.
 		t.Skip("second chain found disjoint optical links")
 	}
-	if got := len(o.Allocator().AvailableOPS()); got != availBefore {
+	if got := len(o.shards[0].Allocator().AvailableOPS()); got != availBefore {
 		t.Fatalf("OPS leaked on WDM block: %d -> %d", availBefore, got)
 	}
-	if got := o.Controller().RuleCount(); got != rulesBefore {
+	if got := o.shards[0].Controller().RuleCount(); got != rulesBefore {
 		t.Fatalf("rules leaked on WDM block: %d -> %d", rulesBefore, got)
 	}
 	_ = d1

@@ -59,7 +59,7 @@ type GroupReport struct {
 // The topology read lock is held once across the whole group — the
 // memo's validity window — so a structural mutation waits for the pass
 // rather than splitting it.
-func (o *Orchestrator) ReProtectGroup(domain string, ids []DeploymentID) GroupReport {
+func (o *shard) ReProtectGroup(domain string, ids []DeploymentID) GroupReport {
 	rep := GroupReport{Domain: domain}
 	if len(ids) == 0 {
 		return rep

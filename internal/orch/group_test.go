@@ -146,10 +146,10 @@ func TestReProtectGroupBusyMemberSkipped(t *testing.T) {
 		}
 		members = append(members, dep.ID)
 	}
-	if _, err := o.beginExclusive(members[1]); err != nil {
+	if _, err := o.shards[0].beginExclusive(members[1]); err != nil {
 		t.Fatalf("beginExclusive: %v", err)
 	}
-	defer o.endExclusive(members[1])
+	defer o.shards[0].endExclusive(members[1])
 	rep := o.ReProtectGroup("batch:1", members)
 	var busy, clean int
 	for _, out := range rep.Outcomes {
@@ -217,9 +217,9 @@ func TestDomainSRLGParsing(t *testing.T) {
 // per-shard planner stats.
 func TestShardedReProtectGroupMergesShards(t *testing.T) {
 	topo := wideTopology(t, 16)
-	s, err := NewSharded(Config{Topo: topo}, 4, ShardByTenant)
+	s, err := New(Config{Topo: topo, Shards: 4, ShardMode: ShardByTenant})
 	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	var members []DeploymentID
 	for _, spec := range batchSpecs(t, 8) {

@@ -17,10 +17,10 @@ type ImpactEntry struct {
 	Roles []string
 }
 
-// NodeImpact answers the operator-planning question "what breaks if
-// this node dies": every active deployment whose footprint includes the
-// node, straight from the reverse index (no scan), sorted by ID.
-func (o *Orchestrator) NodeImpact(node topology.NodeID) []ImpactEntry {
+// NodeImpact returns this shard's active deployments whose footprint
+// includes the node, straight from the reverse index (no scan), in no
+// particular order; Orchestrator.NodeImpact merges and sorts.
+func (o *shard) NodeImpact(node topology.NodeID) []ImpactEntry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var out []ImpactEntry
@@ -48,14 +48,13 @@ func (o *Orchestrator) NodeImpact(node topology.NodeID) []ImpactEntry {
 		sort.Strings(roles)
 		out = append(out, ImpactEntry{ID: id, Roles: roles})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// LinkImpact is the link variant of NodeImpact: every active deployment
-// whose primary or standby path crosses the link, from the reverse link
-// index and the per-deployment link caches, sorted by ID.
-func (o *Orchestrator) LinkImpact(link topology.LinkID) []ImpactEntry {
+// LinkImpact is the link variant of NodeImpact: this shard's active
+// deployments whose primary or standby path crosses the link, from the
+// reverse link index and the per-deployment link caches.
+func (o *shard) LinkImpact(link topology.LinkID) []ImpactEntry {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var out []ImpactEntry
@@ -76,6 +75,5 @@ func (o *Orchestrator) LinkImpact(link topology.LinkID) []ImpactEntry {
 		}
 		out = append(out, ImpactEntry{ID: id, Roles: roles})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -49,7 +49,7 @@ func TestMoveNFIntoOpticalSavesConversions(t *testing.T) {
 		t.Fatalf("host after move = %d, want %d", after.Placement.Hosts[0], oer)
 	}
 	// Rules were re-provisioned along the new path.
-	rules := o.Controller().RulesForFlow(after.FlowKey())
+	rules := o.shards[0].Controller().RulesForFlow(after.FlowKey())
 	if len(rules) != len(after.Path) {
 		t.Fatalf("rules = %d, want %d", len(rules), len(after.Path))
 	}

@@ -30,7 +30,7 @@ import (
 // exists or planning is disabled). An error with replanned=true means
 // the chain is left unprotected; ErrBusy means a concurrent exclusive
 // operation owns the deployment and the caller should retry.
-func (o *Orchestrator) ReProtect(id DeploymentID) (sb *resilience.Standby, replanned bool, err error) {
+func (o *shard) ReProtect(id DeploymentID) (sb *resilience.Standby, replanned bool, err error) {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return nil, false, fmt.Errorf("orch: re-protect: %w", err)
@@ -47,7 +47,7 @@ func (o *Orchestrator) ReProtect(id DeploymentID) (sb *resilience.Standby, repla
 // group, so the body must not reacquire it. When gp is non-nil the
 // standby is planned through the group's shared candidate memo;
 // otherwise per-chain.
-func (o *Orchestrator) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner) (sb *resilience.Standby, replanned bool, err error) {
+func (o *shard) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner) (sb *resilience.Standby, replanned bool, err error) {
 	id := dep.ID
 	o.mu.Lock()
 	cur := dep.Standby.Clone()
@@ -100,7 +100,7 @@ func (o *Orchestrator) reProtectDep(dep *Deployment, gp *resilience.GroupPlanner
 // The operation is transactional like MoveNF: a failure after any
 // migration moves the instances back, and only an impossible restore
 // falls back to an in-place rebuild.
-func (o *Orchestrator) Rehome(id DeploymentID, margin int) (moved bool, err error) {
+func (o *shard) Rehome(id DeploymentID, margin int) (moved bool, err error) {
 	moved, rebuilt, err := o.rehome(id, margin)
 	// Emit only after rehome released its locks — the sink contract
 	// allows callbacks into the orchestrator's read API.
@@ -118,7 +118,7 @@ func (o *Orchestrator) Rehome(id DeploymentID, margin int) (moved bool, err erro
 
 // rehome is Rehome without the event emission; rebuilt reports that
 // the rebuild-in-place fallback ran and left the chain active.
-func (o *Orchestrator) rehome(id DeploymentID, margin int) (moved, rebuilt bool, err error) {
+func (o *shard) rehome(id DeploymentID, margin int) (moved, rebuilt bool, err error) {
 	if margin < 1 {
 		margin = 1
 	}
@@ -210,7 +210,7 @@ func (o *Orchestrator) rehome(id DeploymentID, margin int) (moved, rebuilt bool,
 	if len(done) == 0 {
 		return false, false, nil
 	}
-	if obs := o.rehomeObserver(); obs != nil {
+	if obs := o.hooks().rehomeObs; obs != nil {
 		for _, m := range done {
 			obs(o.rackOf(m.from), o.rackOf(cand.Hosts[m.idx]))
 		}
@@ -248,7 +248,7 @@ func (o *Orchestrator) rehome(id DeploymentID, margin int) (moved, rebuilt bool,
 
 // rackOf resolves a host's rack for the re-home churn observer (-1
 // when the node is unknown or rackless, e.g. an optoelectronic OPS).
-func (o *Orchestrator) rackOf(host topology.NodeID) int {
+func (o *shard) rackOf(host topology.NodeID) int {
 	if n := o.topo.Node(host); n != nil {
 		return n.Rack
 	}
@@ -264,7 +264,7 @@ func (o *Orchestrator) rackOf(host topology.NodeID) int {
 // happened; a flow already on the lowest common channel, a chain
 // without optical segments, or a moment with no spare channel are all
 // quiet no-ops.
-func (o *Orchestrator) DefragLambda(id DeploymentID) (from, to int, retuned bool, err error) {
+func (o *shard) DefragLambda(id DeploymentID) (from, to int, retuned bool, err error) {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("orch: defrag: %w", err)

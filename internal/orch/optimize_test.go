@@ -50,7 +50,7 @@ func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	before := o.Controller().YenRuns()
+	before := o.shards[0].Controller().YenRuns()
 	sb, replanned, err := o.ReProtect(dep.ID)
 	if err != nil {
 		t.Fatalf("ReProtect: %v", err)
@@ -61,7 +61,7 @@ func TestReProtectAlreadyProtectedIsNoOp(t *testing.T) {
 	if sb == nil || !sb.Disjoint {
 		t.Fatalf("standby snapshot = %+v, want disjoint", sb)
 	}
-	if got := o.Controller().YenRuns(); got != before {
+	if got := o.shards[0].Controller().YenRuns(); got != before {
 		t.Fatalf("no-op re-protect ran %d Yen searches", got-before)
 	}
 }
@@ -83,7 +83,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 		t.Fatalf("standby %+v, want route 1", dep.Standby)
 	}
 
-	yenBefore := o.Controller().YenRuns()
+	yenBefore := o.shards[0].Controller().YenRuns()
 	reports, err := o.HandleNodeFailure(ids.opss[1]) // standby transit only
 	if err != nil {
 		t.Fatalf("HandleNodeFailure: %v", err)
@@ -91,7 +91,7 @@ func TestAsyncRestandbyDropsAndReProtectReplans(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != ActionRestandby || reports[0].Err != nil {
 		t.Fatalf("reports = %+v, want one clean restandby", reports)
 	}
-	if got := o.Controller().YenRuns(); got != yenBefore {
+	if got := o.shards[0].Controller().YenRuns(); got != yenBefore {
 		t.Fatalf("async restandby ran %d Yen searches inline", got-yenBefore)
 	}
 	if cur := o.Deployment(dep.ID); cur.Standby != nil {
@@ -127,7 +127,7 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 	// Kill primary AND standby transit ToRs in one batch (the OPSs are
 	// AL members and would classify as a slice patch): no swap
 	// possible, the repair must be a cold re-path via the spare route.
-	yenBefore := o.Controller().YenRuns()
+	yenBefore := o.shards[0].Controller().YenRuns()
 	reports, err := o.HandleFailures([]topology.NodeID{ids.tors[0][0], ids.tors[0][1]}, nil)
 	if err != nil {
 		t.Fatalf("HandleFailures: %v", err)
@@ -135,7 +135,7 @@ func TestAsyncRepathDefersStandby(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != ActionRepathed {
 		t.Fatalf("reports = %+v, want one repathed", reports)
 	}
-	if got := o.Controller().YenRuns(); got != yenBefore {
+	if got := o.shards[0].Controller().YenRuns(); got != yenBefore {
 		t.Fatalf("async repath ran %d Yen searches inline", got-yenBefore)
 	}
 	cur := o.Deployment(dep.ID)

@@ -25,7 +25,6 @@ package orch
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -146,12 +145,14 @@ func (d *Deployment) FlowKey() string {
 // Config wires an orchestrator.
 type Config struct {
 	Topo *topology.Topology
-	// Allocator, when non-nil, is shared with the caller so cluster
-	// construction outside the orchestrator and chain provisioning see
-	// the same OPS ownership (the one-OPS-one-AL rule spans both).
-	Allocator *cluster.Allocator
+	// Shards is the number of orchestrator shards (values below 1 mean
+	// one). Each shard owns a disjoint round-robin partition of the OPS
+	// pool; one shard owns the whole pool.
+	Shards int
+	// ShardMode selects what the router hashes to pick a chain's shard
+	// (default ShardByTenant). Irrelevant with one shard.
+	ShardMode ShardMode
 	// Builder constructs ALs (defaults to the paper's algorithm).
-	// Ignored when Allocator is set.
 	Builder cluster.Builder
 	// Policy places VNFs (defaults to the paper's optical-first).
 	Policy placement.Policy
@@ -168,12 +169,6 @@ type Config struct {
 	// time. 0 selects DefaultStandbyK; negative disables standby
 	// planning entirely (every data-path repair is then a cold re-path).
 	StandbyK int
-	// DisablePathCache turns off the SDN controllers' generation-keyed
-	// path-candidate memo (sdn.Controller.SetAlternativesCache), forcing
-	// every PathAlternatives call to run Yen's search cold. Benchmark
-	// baselines use it to measure the cache's effect; production fleets
-	// leave it off.
-	DisablePathCache bool
 }
 
 // DefaultStandbyK is the Yen's search width used when Config.StandbyK
@@ -186,11 +181,10 @@ const DefaultStandbyK = 4
 // lock, the capacity ledger (Cloud/NFV manager), the optical slice
 // manager (the optical-layer one-OPS-one-slice check must stay global),
 // the wavelength allocator (per-link λ occupancy is physical truth),
-// and the configuration knobs. Per-shard state — deployment maps,
-// reverse indexes, flow-key reservations, busy guards, the OPS-pool-
-// restricted cluster allocator and the SDN flow tables — lives on each
-// Orchestrator; a single-orchestrator deployment is simply one shard
-// owning the whole pool.
+// the configuration knobs and the instrumentation hooks. Per-shard
+// state — deployment maps, reverse indexes, flow-key reservations,
+// busy guards, the OPS-pool-restricted cluster allocator and the SDN
+// flow tables — lives on each shard.
 type sharedCore struct {
 	// topoMu serializes topology mutations (node up/down transitions)
 	// against the provisioning pipeline, which reads liveness bits all
@@ -222,6 +216,44 @@ type sharedCore struct {
 	// group, giving their repair events a unique failure domain
 	// (failureDomain). Shared so sharded fleets number globally.
 	batchSeq uint64
+
+	// hk holds the instrumentation hooks. They are read inside the
+	// pipeline and the repair and re-home transactions of every shard,
+	// so readers take one atomic load instead of a lock all shards
+	// would share; setters copy, modify and publish under hookMu.
+	hk     atomic.Pointer[hooks]
+	hookMu sync.Mutex
+}
+
+// hooks is one immutable snapshot of the instrumentation attached to
+// an orchestrator (see the Set* methods on Orchestrator).
+type hooks struct {
+	// stageObs is called once per executed pipeline stage with the
+	// stage name and its wall-clock duration.
+	stageObs func(stage string, d time.Duration)
+	// rehomeObs is called once per VNF migration a re-home commits,
+	// with the source and destination racks (-1 when a host has no
+	// rack).
+	rehomeObs func(fromRack, toRack int)
+	// tr records spans for provision/repair/delete and their pipeline
+	// stages.
+	tr *trace.Tracer
+	// sink receives lifecycle events (events.go).
+	sink EventSink
+	// deferReprotect switches repairs to deferred standby replanning.
+	deferReprotect bool
+}
+
+// hooks returns the current instrumentation snapshot (never nil).
+func (c *sharedCore) hooks() *hooks { return c.hk.Load() }
+
+// setHooks publishes a copy of the current hooks modified by fn.
+func (c *sharedCore) setHooks(fn func(h *hooks)) {
+	c.hookMu.Lock()
+	h := *c.hk.Load()
+	fn(&h)
+	c.hk.Store(&h)
+	c.hookMu.Unlock()
 }
 
 // newSharedCore builds the cross-shard substrate from a Config.
@@ -260,7 +292,7 @@ func newSharedCore(cfg Config) (*sharedCore, error) {
 	if standbyK < 0 {
 		standbyK = 0 // disabled
 	}
-	return &sharedCore{
+	c := &sharedCore{
 		topo:      cfg.Topo,
 		slices:    slices,
 		mgr:       mgr,
@@ -269,31 +301,46 @@ func newSharedCore(cfg Config) (*sharedCore, error) {
 		mode:      mode,
 		costModel: model,
 		standbyK:  standbyK,
-	}, nil
+	}
+	c.hk.Store(&hooks{})
+	return c, nil
 }
 
-// Orchestrator coordinates the cluster allocator, slice manager,
-// Cloud/NFV manager and SDN controller for the deployments it owns.
-// Safe for concurrent use. A standalone orchestrator (New) is a single
-// shard owning every OPS; NewSharded stands up N of them over one
-// sharedCore with partitioned OPS pools and strided deployment IDs.
-type Orchestrator struct {
+// tombstoneRing is how many deleted or failed deployment records each
+// shard retains so a lookup shortly after a delete (or a failed
+// repair) still reports the final state. Older tombstones are dropped,
+// so the deployment map grows with the live fleet, not with all-time
+// churn.
+const tombstoneRing = 128
+
+// shard coordinates the cluster allocator, slice manager, Cloud/NFV
+// manager and SDN controller for the deployments it owns: one domain
+// of an Orchestrator. Safe for concurrent use.
+type shard struct {
 	*sharedCore
 
 	mu sync.Mutex
 
-	// shard/idStride identify this orchestrator inside a Sharded router:
-	// shard s of n issues deployment IDs s+1, s+1+n, s+1+2n, … so the
-	// owning shard of any ID is (id-1) mod n — no shared ID allocator,
-	// no cross-shard lookup. A standalone orchestrator is shard 0 with
-	// stride 1 (IDs 1,2,3,… exactly as before).
-	shard    int
+	// index/idStride identify this shard inside its Orchestrator: shard
+	// s of n issues deployment IDs s+1, s+1+n, s+1+2n, … so the owning
+	// shard of any ID is (id-1) mod n — no shared ID allocator, no
+	// cross-shard lookup. With one shard IDs run 1, 2, 3, ….
+	index    int
 	idStride DeploymentID
 
 	alloc *cluster.Allocator
 	ctrl  *sdn.Controller
 
+	// deployments holds every active record plus the retained
+	// tombstones (at most tombstoneRing deleted or failed records).
 	deployments map[DeploymentID]*Deployment
+	// tombs is the ring of retained tombstone IDs, oldest at tombNext
+	// once full; retireLocked evicts the oldest record on overflow.
+	tombs    [tombstoneRing]DeploymentID
+	tombNext int
+	// droppedRepairs sums the Repairs of tombstones dropped from the
+	// map, so the per-shard repair total stays monotonic.
+	droppedRepairs int
 	// flowKeys maps each active (or being-provisioned) chain's flow key
 	// to its deployment, reserving the SDN flow-table and WDM namespace:
 	// two live chains must never share a key (Delete of one would strip
@@ -318,96 +365,27 @@ type Orchestrator struct {
 	// Guarded by mu.
 	linkIndex map[topology.LinkID]map[DeploymentID]struct{}
 
-	// sink receives lifecycle events (events.go); deferReprotect
-	// switches repairs to deferred standby replanning — set only when a
-	// background optimizer consumes the events (SetDeferReprotect), not
-	// implied by a sink being attached. Both guarded by mu.
-	sink           EventSink
-	deferReprotect bool
-
-	// hookMu guards the telemetry observer hooks below. A dedicated
-	// lock because the hooks are read inside the pipeline and the
-	// re-home transaction, which run while mu or topoMu are held.
-	hookMu sync.RWMutex
-	// stageObs, when set, is called once per executed pipeline stage
-	// with the stage name and its wall-clock duration.
-	stageObs func(stage string, d time.Duration)
-	// rehomeObs, when set, is called once per VNF migration a re-home
-	// commits, with the source and destination racks (-1 when a host
-	// has no rack).
-	rehomeObs func(fromRack, toRack int)
-	// tr, when set, records spans for provision/repair/delete and
-	// their pipeline stages. Like the observers it is read inside the
-	// pipeline while mu or topoMu are held, hence hookMu.
-	tr *trace.Tracer
-
 	// provisionOK/provisionFail count Provision outcomes (atomics).
 	provisionOK   uint64
 	provisionFail uint64
 }
 
-// SetStageObserver installs (or, with nil, removes) the per-stage
-// pipeline latency hook. The observer runs synchronously inside the
-// provisioning/repair pipeline and must only record, never call back
-// into the orchestrator.
-func (o *Orchestrator) SetStageObserver(fn func(stage string, d time.Duration)) {
-	o.hookMu.Lock()
-	o.stageObs = fn
-	o.hookMu.Unlock()
+// retireLocked records a deployment that just became a tombstone
+// (deleted or failed) in the ring, dropping the oldest retained
+// tombstone from the map when the ring is full. Caller holds o.mu.
+func (o *shard) retireLocked(id DeploymentID) {
+	if old := o.tombs[o.tombNext]; old != 0 {
+		o.droppedRepairs += o.deployments[old].Repairs
+		delete(o.deployments, old)
+	}
+	o.tombs[o.tombNext] = id
+	o.tombNext = (o.tombNext + 1) % tombstoneRing
 }
 
-func (o *Orchestrator) stageObserver() func(string, time.Duration) {
-	o.hookMu.RLock()
-	defer o.hookMu.RUnlock()
-	return o.stageObs
-}
-
-// SetRehomeObserver installs (or, with nil, removes) the re-home churn
-// hook, called once per committed VNF migration with source and
-// destination racks. Same contract as SetStageObserver: record only.
-func (o *Orchestrator) SetRehomeObserver(fn func(fromRack, toRack int)) {
-	o.hookMu.Lock()
-	o.rehomeObs = fn
-	o.hookMu.Unlock()
-}
-
-func (o *Orchestrator) rehomeObserver() func(int, int) {
-	o.hookMu.RLock()
-	defer o.hookMu.RUnlock()
-	return o.rehomeObs
-}
-
-// SetTracer installs (or, with nil, removes) the span tracer. With a
-// tracer attached, Provision/Delete and every reconciliation repair
-// record a span, each executed pipeline stage becomes a child span,
-// and repair-completed events carry their repair span's identity so
-// downstream consumers (debouncer, optimizer) continue the trace.
-// A nil tracer leaves the hot paths with zero span allocations.
-func (o *Orchestrator) SetTracer(tr *trace.Tracer) {
-	o.hookMu.Lock()
-	o.tr = tr
-	o.hookMu.Unlock()
-}
-
-func (o *Orchestrator) tracer() *trace.Tracer {
-	o.hookMu.RLock()
-	defer o.hookMu.RUnlock()
-	return o.tr
-}
-
-// ProvisionOutcomes returns how many Provision calls succeeded and
+// provisionOutcomes returns how many Provision calls succeeded and
 // failed since construction.
-func (o *Orchestrator) ProvisionOutcomes() (ok, failed uint64) {
+func (o *shard) provisionOutcomes() (ok, failed uint64) {
 	return atomic.LoadUint64(&o.provisionOK), atomic.LoadUint64(&o.provisionFail)
-}
-
-// BusyOps returns how many deployments currently hold an exclusive
-// operation (repair, move, delete, upgrade, scale) — the shard's
-// in-flight mutation gauge.
-func (o *Orchestrator) BusyOps() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.busy)
 }
 
 // vmIndex caches the liveness-filtered service → VM grouping so the
@@ -421,49 +399,18 @@ type vmIndex struct {
 	byService map[string][]topology.NodeID
 }
 
-// New builds a standalone orchestrator over the given topology: a
-// single shard (stride 1) owning the entire OPS pool.
-func New(cfg Config) (*Orchestrator, error) {
-	if cfg.Topo == nil {
-		return nil, fmt.Errorf("orch: nil topology")
-	}
-	core, err := newSharedCore(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("orch: %w", err)
-	}
-	alloc := cfg.Allocator
-	if alloc == nil {
-		builder := cfg.Builder
-		if builder == nil {
-			builder = cluster.PaperBuilder{}
-		}
-		alloc, err = cluster.NewAllocator(cfg.Topo, builder)
-		if err != nil {
-			return nil, fmt.Errorf("orch: %w", err)
-		}
-	}
-	ctrl, err := sdn.NewController(cfg.Topo)
-	if err != nil {
-		return nil, fmt.Errorf("orch: %w", err)
-	}
-	if cfg.DisablePathCache {
-		ctrl.SetAlternativesCache(false)
-	}
-	return newShard(core, alloc, ctrl, 0, 1), nil
-}
-
 // newShard assembles one orchestrator shard over an existing core.
-// shard is 0-based; stride is the total shard count. The first ID a
-// shard issues is shard+1, then it advances by stride, so shard ID
-// spaces never overlap and ShardRouter.ShardOf is pure arithmetic.
-func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, shard, stride int) *Orchestrator {
-	return &Orchestrator{
+// index is 0-based; stride is the total shard count. The first ID a
+// shard issues is index+1, then it advances by stride, so shard ID
+// spaces never overlap and Orchestrator.ShardOf is pure arithmetic.
+func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, index, stride int) *shard {
+	return &shard{
 		sharedCore:  core,
-		shard:       shard,
+		index:       index,
 		idStride:    DeploymentID(stride),
 		alloc:       alloc,
 		ctrl:        ctrl,
-		nextID:      DeploymentID(shard + 1 - stride),
+		nextID:      DeploymentID(index + 1 - stride),
 		deployments: make(map[DeploymentID]*Deployment),
 		flowKeys:    make(map[string]DeploymentID),
 		busy:        make(map[DeploymentID]bool),
@@ -478,29 +425,29 @@ func newShard(core *sharedCore, alloc *cluster.Allocator, ctrl *sdn.Controller, 
 // service, sorted by node ID, from the cached service index. Callers
 // must hold topoMu (either side) and must not mutate the returned
 // slice.
-func (o *Orchestrator) liveVMs(service string) []topology.NodeID {
-	o.vmIdx.mu.Lock()
-	defer o.vmIdx.mu.Unlock()
-	if !o.vmIdx.valid {
+func (c *sharedCore) liveVMs(service string) []topology.NodeID {
+	c.vmIdx.mu.Lock()
+	defer c.vmIdx.mu.Unlock()
+	if !c.vmIdx.valid {
 		idx := make(map[string][]topology.NodeID)
 		// VMsByService iterates nodes in ID order, so each cached group
 		// is already sorted.
-		for svc, vms := range o.topo.VMsByService() {
+		for svc, vms := range c.topo.VMsByService() {
 			live := make([]topology.NodeID, 0, len(vms))
 			for _, vm := range vms {
-				n := o.topo.Node(vm)
-				host := o.topo.Node(n.Host)
+				n := c.topo.Node(vm)
+				host := c.topo.Node(n.Host)
 				if !n.Down && host != nil && !host.Down &&
-					len(o.topo.ToRsOfPM(n.Host)) > 0 {
+					len(c.topo.ToRsOfPM(n.Host)) > 0 {
 					live = append(live, vm)
 				}
 			}
 			idx[svc] = live
 		}
-		o.vmIdx.byService = idx
-		o.vmIdx.valid = true
+		c.vmIdx.byService = idx
+		c.vmIdx.valid = true
 	}
-	return o.vmIdx.byService[service]
+	return c.vmIdx.byService[service]
 }
 
 // InvalidateVMCache drops the cached service → live-VM index. The
@@ -508,10 +455,10 @@ func (o *Orchestrator) liveVMs(service string) []topology.NodeID {
 // (HandleNodeFailure, RecoverNode); callers that mutate the shared
 // topology directly (VM churn, link failures) must call this
 // themselves.
-func (o *Orchestrator) InvalidateVMCache() {
-	o.vmIdx.mu.Lock()
-	o.vmIdx.valid = false
-	o.vmIdx.mu.Unlock()
+func (c *sharedCore) InvalidateVMCache() {
+	c.vmIdx.mu.Lock()
+	c.vmIdx.valid = false
+	c.vmIdx.mu.Unlock()
 }
 
 // indexLocked adds the deployment's current footprint (nodes and
@@ -520,7 +467,7 @@ func (o *Orchestrator) InvalidateVMCache() {
 // removes the same set even if liveness changed in between. Caller
 // holds o.mu; the topology must be readable (topoMu either side or a
 // quiescent deployment).
-func (o *Orchestrator) indexLocked(dep *Deployment) {
+func (o *shard) indexLocked(dep *Deployment) {
 	dep.idxNodes = dep.footprint()
 	// The primary link enumeration can only fail on a path whose hops
 	// are no longer adjacent — impossible at a commit point, where the
@@ -548,7 +495,7 @@ func (o *Orchestrator) indexLocked(dep *Deployment) {
 // unindexLocked removes the deployment's registered footprint from the
 // reverse indexes; call it before mutating the footprint fields.
 // Caller holds o.mu.
-func (o *Orchestrator) unindexLocked(dep *Deployment) {
+func (o *shard) unindexLocked(dep *Deployment) {
 	for _, n := range dep.idxNodes {
 		set := o.nodeIndex[n]
 		delete(set, dep.ID)
@@ -621,7 +568,7 @@ func (d *Deployment) linkFootprint(primary []topology.LinkID) []topology.LinkID 
 // beginExclusive claims the deployment for an exclusive operation. The
 // caller must endExclusive when done. The returned Deployment is the
 // live record; fields may only be touched under o.mu.
-func (o *Orchestrator) beginExclusive(id DeploymentID) (*Deployment, error) {
+func (o *shard) beginExclusive(id DeploymentID) (*Deployment, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	dep, err := o.activeLocked(id)
@@ -635,7 +582,7 @@ func (o *Orchestrator) beginExclusive(id DeploymentID) (*Deployment, error) {
 	return dep, nil
 }
 
-func (o *Orchestrator) endExclusive(id DeploymentID) {
+func (o *shard) endExclusive(id DeploymentID) {
 	o.mu.Lock()
 	delete(o.busy, id)
 	o.mu.Unlock()
@@ -643,24 +590,24 @@ func (o *Orchestrator) endExclusive(id DeploymentID) {
 
 // Controller exposes the SDN controller (read-mostly: inspecting flow
 // tables in tests and experiments).
-func (o *Orchestrator) Controller() *sdn.Controller { return o.ctrl }
+func (o *shard) Controller() *sdn.Controller { return o.ctrl }
 
 // Manager exposes the Cloud/NFV manager.
-func (o *Orchestrator) Manager() *nfv.Manager { return o.mgr }
+func (c *sharedCore) Manager() *nfv.Manager { return c.mgr }
 
 // Allocator exposes the cluster allocator.
-func (o *Orchestrator) Allocator() *cluster.Allocator { return o.alloc }
+func (o *shard) Allocator() *cluster.Allocator { return o.alloc }
 
 // Slices exposes the optical slice manager.
-func (o *Orchestrator) Slices() *optical.SliceManager { return o.slices }
+func (c *sharedCore) Slices() *optical.SliceManager { return c.slices }
 
 // WDM exposes the wavelength allocator (nil when disabled).
-func (o *Orchestrator) WDM() *optical.WDM { return o.wdm }
+func (c *sharedCore) WDM() *optical.WDM { return c.wdm }
 
 // buildChain runs the full provisioning pipeline (pipeline.go) for a
 // spec. On error all partial state created by this call is rolled
 // back. Caller holds topoMu (read side).
-func (o *Orchestrator) buildChain(ctx context.Context, spec chain.Spec, flowKey string) (*pipeline, error) {
+func (o *shard) buildChain(ctx context.Context, spec chain.Spec, flowKey string) (*pipeline, error) {
 	p, err := o.newPipeline(spec, flowKey)
 	if err != nil {
 		return nil, err
@@ -674,7 +621,7 @@ func (o *Orchestrator) buildChain(ctx context.Context, spec chain.Spec, flowKey 
 
 // teardown releases everything a build holds. Errors are collected into
 // the first non-nil one; teardown keeps going regardless.
-func (o *Orchestrator) teardown(dep *Deployment) error {
+func (o *shard) teardown(dep *Deployment) error {
 	var firstErr error
 	o.ctrl.RemoveFlow(dep.FlowKey())
 	if o.wdm != nil {
@@ -698,21 +645,14 @@ func (o *Orchestrator) teardown(dep *Deployment) error {
 	return firstErr
 }
 
-// Provision deploys a chain end to end. On any failure all partial
-// state is rolled back and the orchestrator is unchanged. Safe for
-// concurrent use: independent specs provision in parallel (see also
-// ProvisionBatch), serialized only at the shared resource pools.
-func (o *Orchestrator) Provision(spec chain.Spec) (*Deployment, error) {
-	return o.ProvisionCtx(context.Background(), spec)
-}
-
-// ProvisionCtx is Provision carrying a request context. With a tracer
-// attached it records a "provision" span — a child of the span in ctx
+// ProvisionCtx deploys a chain end to end on this shard. On any failure
+// all partial state is rolled back and the shard is unchanged. With a
+// tracer attached it records a "provision" span — a child of the span in ctx
 // (the server's per-request root) when one is there, the root of a
 // fresh trace otherwise — with every executed pipeline stage as a
 // child span.
-func (o *Orchestrator) ProvisionCtx(ctx context.Context, spec chain.Spec) (*Deployment, error) {
-	tr := o.tracer()
+func (o *shard) ProvisionCtx(ctx context.Context, spec chain.Spec) (*Deployment, error) {
+	tr := o.hooks().tr
 	if tr == nil {
 		return o.provision(ctx, spec)
 	}
@@ -732,7 +672,7 @@ func (o *Orchestrator) ProvisionCtx(ctx context.Context, spec chain.Spec) (*Depl
 	return dep, err
 }
 
-func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
+func (o *shard) provision(ctx context.Context, spec chain.Spec) (*Deployment, error) {
 	if err := spec.Validate(); err != nil {
 		atomic.AddUint64(&o.provisionFail, 1)
 		return nil, fmt.Errorf("orch: provision: %w", err)
@@ -785,7 +725,7 @@ func (o *Orchestrator) provision(ctx context.Context, spec chain.Spec) (*Deploym
 // in reconcile.go and only falls back to this. On success the
 // deployment stays Active with Repairs incremented; on failure its
 // resources are released and it transitions to Failed.
-func (o *Orchestrator) Repair(id DeploymentID) error {
+func (o *shard) Repair(id DeploymentID) error {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return fmt.Errorf("orch: repair: %w", err)
@@ -807,7 +747,7 @@ func (o *Orchestrator) Repair(id DeploymentID) error {
 // deployment stays in the reverse index throughout; the commit swaps
 // the index entries atomically with the fields, and the failure paths
 // unindex via failLocked.
-func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
+func (o *shard) rebuild(ctx context.Context, dep *Deployment) error {
 	// Tear down outside the lock (manager/controller have their own).
 	if err := o.teardown(dep); err != nil {
 		// Resource release failed irrecoverably; mark failed.
@@ -838,11 +778,12 @@ func (o *Orchestrator) rebuild(ctx context.Context, dep *Deployment) error {
 
 // failLocked transitions a deployment to Failed and frees its flow-key
 // reservation and index entries (its resources are already released).
-func (o *Orchestrator) failLocked(dep *Deployment) {
+func (o *shard) failLocked(dep *Deployment) {
 	o.mu.Lock()
 	o.unindexLocked(dep)
 	dep.State = StateFailed
 	delete(o.flowKeys, dep.FlowKey())
+	o.retireLocked(dep.ID)
 	o.mu.Unlock()
 }
 
@@ -857,7 +798,7 @@ func (o *Orchestrator) failLocked(dep *Deployment) {
 // swap make-before-break), and a failure after the migration moves the
 // instance back to its original host, so an error never leaves the
 // placement and the installed rules disagreeing.
-func (o *Orchestrator) MoveNF(id DeploymentID, idx int, to topology.NodeID) error {
+func (o *shard) MoveNF(id DeploymentID, idx int, to topology.NodeID) error {
 	rebuilt, err := o.moveNF(id, idx, to)
 	// Emit only after moveNF released its locks — the sink contract
 	// allows callbacks into the orchestrator's read API.
@@ -875,7 +816,7 @@ func (o *Orchestrator) MoveNF(id DeploymentID, idx int, to topology.NodeID) erro
 
 // moveNF is MoveNF without the event emission; rebuilt reports that
 // the rebuild-in-place fallback ran and left the chain active.
-func (o *Orchestrator) moveNF(id DeploymentID, idx int, to topology.NodeID) (rebuilt bool, err error) {
+func (o *shard) moveNF(id DeploymentID, idx int, to topology.NodeID) (rebuilt bool, err error) {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return false, fmt.Errorf("orch: move: %w", err)
@@ -937,7 +878,7 @@ func (o *Orchestrator) moveNF(id DeploymentID, idx int, to topology.NodeID) (reb
 // current path after an aborted connectivity re-run released it. The
 // continuity constraint still holds; the λ value may differ from the
 // original, and exhaustion leaves the flow unassigned (best-effort).
-func (o *Orchestrator) restoreWavelength(dep *Deployment) {
+func (o *shard) restoreWavelength(dep *Deployment) {
 	if o.wdm == nil {
 		return
 	}
@@ -964,7 +905,7 @@ func (o *Orchestrator) restoreWavelength(dep *Deployment) {
 
 // Modify changes a deployment's bandwidth reservation (§IV-B:
 // modification of NFCs).
-func (o *Orchestrator) Modify(id DeploymentID, bandwidthGbps float64) error {
+func (o *shard) Modify(id DeploymentID, bandwidthGbps float64) error {
 	if bandwidthGbps <= 0 {
 		return fmt.Errorf("orch: modify: bandwidth must be positive, got %f", bandwidthGbps)
 	}
@@ -985,7 +926,7 @@ func (o *Orchestrator) Modify(id DeploymentID, bandwidthGbps float64) error {
 // (§IV-B: upgradation). It claims the deployment's exclusive-operation
 // guard, so a concurrent Delete or Repair surfaces as ErrBusy instead
 // of terminating instances mid-upgrade.
-func (o *Orchestrator) Upgrade(id DeploymentID) error {
+func (o *shard) Upgrade(id DeploymentID) error {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return fmt.Errorf("orch: upgrade: %w", err)
@@ -1009,7 +950,7 @@ func (o *Orchestrator) Upgrade(id DeploymentID) error {
 // count (§IV-B: scaling during the VNF life cycle). Like Upgrade it
 // holds the exclusive-operation guard so the instance cannot be torn
 // down mid-scale by a concurrent Delete.
-func (o *Orchestrator) ScaleNF(id DeploymentID, idx, replicas int) error {
+func (o *shard) ScaleNF(id DeploymentID, idx, replicas int) error {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return fmt.Errorf("orch: scale: %w", err)
@@ -1028,17 +969,12 @@ func (o *Orchestrator) ScaleNF(id DeploymentID, idx, replicas int) error {
 	return nil
 }
 
-// Delete tears a deployment down: flow rules removed, VNFs terminated,
-// slice and cluster released. The deployment record is retained with
-// state Deleted.
-func (o *Orchestrator) Delete(id DeploymentID) error {
-	return o.DeleteCtx(context.Background(), id)
-}
-
-// DeleteCtx is Delete carrying a request context; with a tracer
+// DeleteCtx tears a deployment down: flow rules removed, VNFs
+// terminated, slice and cluster released. The record is kept as a
+// tombstone with state Deleted (see tombstoneRing). With a tracer
 // attached it records a "delete" span under the span in ctx.
-func (o *Orchestrator) DeleteCtx(ctx context.Context, id DeploymentID) error {
-	tr := o.tracer()
+func (o *shard) DeleteCtx(ctx context.Context, id DeploymentID) error {
+	tr := o.hooks().tr
 	if tr == nil {
 		return o.delete(id)
 	}
@@ -1055,7 +991,7 @@ func (o *Orchestrator) DeleteCtx(ctx context.Context, id DeploymentID) error {
 	return err
 }
 
-func (o *Orchestrator) delete(id DeploymentID) error {
+func (o *shard) delete(id DeploymentID) error {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		return fmt.Errorf("orch: delete: %w", err)
@@ -1065,6 +1001,7 @@ func (o *Orchestrator) delete(id DeploymentID) error {
 	o.unindexLocked(dep)
 	dep.State = StateDeleted
 	delete(o.flowKeys, dep.FlowKey())
+	o.retireLocked(id)
 	o.mu.Unlock()
 	err = o.teardown(dep)
 	o.emit(Event{Kind: EventDeploymentDeleted, Deployment: id})
@@ -1075,7 +1012,7 @@ func (o *Orchestrator) delete(id DeploymentID) error {
 }
 
 // Deployment returns a snapshot of the deployment, or nil.
-func (o *Orchestrator) Deployment(id DeploymentID) *Deployment {
+func (o *shard) Deployment(id DeploymentID) *Deployment {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	dep, ok := o.deployments[id]
@@ -1085,20 +1022,20 @@ func (o *Orchestrator) Deployment(id DeploymentID) *Deployment {
 	return o.snapshot(dep)
 }
 
-// Deployments returns snapshots of all deployments sorted by ID.
-func (o *Orchestrator) Deployments() []*Deployment {
+// Deployments returns snapshots of this shard's records in no
+// particular order; Orchestrator.Deployments merges and sorts.
+func (o *shard) Deployments() []*Deployment {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	out := make([]*Deployment, 0, len(o.deployments))
 	for _, dep := range o.deployments {
 		out = append(out, o.snapshot(dep))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // ActiveCount returns the number of active deployments.
-func (o *Orchestrator) ActiveCount() int {
+func (o *shard) ActiveCount() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	n := 0
@@ -1110,7 +1047,7 @@ func (o *Orchestrator) ActiveCount() int {
 	return n
 }
 
-func (o *Orchestrator) activeLocked(id DeploymentID) (*Deployment, error) {
+func (o *shard) activeLocked(id DeploymentID) (*Deployment, error) {
 	dep, ok := o.deployments[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownDeployment, id)
@@ -1121,49 +1058,7 @@ func (o *Orchestrator) activeLocked(id DeploymentID) (*Deployment, error) {
 	return dep, nil
 }
 
-// RecoverNode marks a failed node as live again. Existing deployments
-// are not rebalanced inline; the emitted recovery event lets an
-// attached background optimizer refresh degraded standbys and re-home
-// drifted placements, and new deployments may use the node
-// immediately.
-func (o *Orchestrator) RecoverNode(node topology.NodeID) error {
-	o.topoMu.Lock()
-	if err := o.topo.SetNodeDown(node, false); err != nil {
-		o.topoMu.Unlock()
-		return fmt.Errorf("orch: recover node: %w", err)
-	}
-	o.InvalidateVMCache()
-	o.topoMu.Unlock()
-	o.emit(Event{Kind: EventNodeRecovered, Node: node})
-	return nil
-}
-
-// RecoverLink marks a failed link as live again. Existing deployments
-// are not rerouted back inline; the emitted recovery event lets an
-// attached background optimizer refresh standbys planned around the
-// outage, and new paths may use the link immediately.
-func (o *Orchestrator) RecoverLink(link topology.LinkID) error {
-	o.topoMu.Lock()
-	if err := o.topo.SetLinkDown(link, false); err != nil {
-		o.topoMu.Unlock()
-		return fmt.Errorf("orch: recover link: %w", err)
-	}
-	// A recovered PM↔ToR link can bring stranded VMs back.
-	o.InvalidateVMCache()
-	o.topoMu.Unlock()
-	o.emit(Event{Kind: EventLinkRecovered, Link: link})
-	return nil
-}
-
-// TopologyJSON serializes the topology consistently with respect to
-// concurrent failure injection and repair.
-func (o *Orchestrator) TopologyJSON() ([]byte, error) {
-	o.topoMu.RLock()
-	defer o.topoMu.RUnlock()
-	return json.Marshal(o.topo)
-}
-
-func (o *Orchestrator) snapshot(dep *Deployment) *Deployment {
+func (o *shard) snapshot(dep *Deployment) *Deployment {
 	cp := *dep
 	cp.Instances = append([]nfv.InstanceID(nil), dep.Instances...)
 	cp.Path = append([]topology.NodeID(nil), dep.Path...)
@@ -1172,7 +1067,7 @@ func (o *Orchestrator) snapshot(dep *Deployment) *Deployment {
 	return &cp
 }
 
-func (o *Orchestrator) optoelectronicOf(opss []topology.NodeID) []topology.NodeID {
+func (o *shard) optoelectronicOf(opss []topology.NodeID) []topology.NodeID {
 	var out []topology.NodeID
 	for _, id := range opss {
 		if n := o.topo.Node(id); n != nil && n.Optoelectronic && !n.Down {
@@ -1182,7 +1077,7 @@ func (o *Orchestrator) optoelectronicOf(opss []topology.NodeID) []topology.NodeI
 	return out
 }
 
-func (o *Orchestrator) pmsOf(vms []topology.NodeID) []topology.NodeID {
+func (o *shard) pmsOf(vms []topology.NodeID) []topology.NodeID {
 	seen := make(map[topology.NodeID]bool)
 	var out []topology.NodeID
 	for _, vm := range vms {

@@ -1,6 +1,7 @@
 package orch
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestProvisionEndToEnd(t *testing.T) {
 	if len(dep.Path) < 2 {
 		t.Fatalf("path too short: %v", dep.Path)
 	}
-	rules := o.Controller().RulesForFlow(dep.FlowKey())
+	rules := o.shards[0].Controller().RulesForFlow(dep.FlowKey())
 	if len(rules) != len(dep.Path) {
 		t.Fatalf("rules = %d, want %d (one per hop)", len(rules), len(dep.Path))
 	}
@@ -128,7 +129,7 @@ func TestProvisionOneVCPerNFC(t *testing.T) {
 			t.Fatalf("OPS %d in both ALs", ops)
 		}
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !o.shards[0].Allocator().Disjoint() || !o.Slices().Disjoint() {
 		t.Fatal("disjointness invariants violated")
 	}
 	if o.ActiveCount() != 2 {
@@ -155,8 +156,8 @@ func TestProvisionValidation(t *testing.T) {
 
 func TestProvisionRollbackLeavesNoState(t *testing.T) {
 	o := newOrch(t)
-	availBefore := len(o.Allocator().AvailableOPS())
-	rulesBefore := o.Controller().RuleCount()
+	availBefore := len(o.shards[0].Allocator().AvailableOPS())
+	rulesBefore := o.shards[0].Controller().RuleCount()
 	// Unknown NF fails after the VC and slice are allocated — rollback
 	// must free everything.
 	s := webSpec(t, "doomed")
@@ -164,10 +165,10 @@ func TestProvisionRollbackLeavesNoState(t *testing.T) {
 	if _, err := o.Provision(s); err == nil {
 		t.Fatal("expected failure")
 	}
-	if got := len(o.Allocator().AvailableOPS()); got != availBefore {
+	if got := len(o.shards[0].Allocator().AvailableOPS()); got != availBefore {
 		t.Fatalf("OPS leaked: %d -> %d", availBefore, got)
 	}
-	if got := o.Controller().RuleCount(); got != rulesBefore {
+	if got := o.shards[0].Controller().RuleCount(); got != rulesBefore {
 		t.Fatalf("rules leaked: %d -> %d", rulesBefore, got)
 	}
 	if len(o.Slices().Slices()) != 0 {
@@ -235,7 +236,7 @@ func TestModifyUpgradeScale(t *testing.T) {
 
 func TestDeleteReleasesEverything(t *testing.T) {
 	o := newOrch(t)
-	availBefore := len(o.Allocator().AvailableOPS())
+	availBefore := len(o.shards[0].Allocator().AvailableOPS())
 	dep, err := o.Provision(webSpec(t, "chain-1"))
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
@@ -246,10 +247,10 @@ func TestDeleteReleasesEverything(t *testing.T) {
 	if got := o.Deployment(dep.ID); got.State != StateDeleted {
 		t.Fatalf("state = %s, want deleted", got.State)
 	}
-	if got := len(o.Allocator().AvailableOPS()); got != availBefore {
+	if got := len(o.shards[0].Allocator().AvailableOPS()); got != availBefore {
 		t.Fatalf("OPSs not released: %d -> %d", availBefore, got)
 	}
-	if got := len(o.Controller().RulesForFlow(dep.FlowKey())); got != 0 {
+	if got := len(o.shards[0].Controller().RulesForFlow(dep.FlowKey())); got != 0 {
 		t.Fatalf("rules remain: %d", got)
 	}
 	for _, id := range dep.Instances {
@@ -270,6 +271,51 @@ func TestDeleteReleasesEverything(t *testing.T) {
 	// Resources are reusable: provision again.
 	if _, err := o.Provision(webSpec(t, "chain-2")); err != nil {
 		t.Fatalf("re-provision after delete: %v", err)
+	}
+}
+
+// TestDeleteChurnKeepsBoundedRecords: the deployment map grows with
+// the live fleet, not with all-time churn. After 2,000 provision/delete
+// cycles one shard keeps at most tombstoneRing records, the most recent
+// delete still reads back as deleted, and the oldest is forgotten.
+func TestDeleteChurnKeepsBoundedRecords(t *testing.T) {
+	const cycles = 2000
+	o := newOrch(t)
+	var first, last DeploymentID
+	for i := 0; i < cycles; i++ {
+		dep, err := o.Provision(webSpec(t, "churn"))
+		if err != nil {
+			t.Fatalf("cycle %d: Provision: %v", i, err)
+		}
+		if err := o.Delete(dep.ID); err != nil {
+			t.Fatalf("cycle %d: Delete: %v", i, err)
+		}
+		if i == 0 {
+			first = dep.ID
+		}
+		last = dep.ID
+	}
+	sh := o.shards[0]
+	sh.mu.Lock()
+	records, keys, busy := len(sh.deployments), len(sh.flowKeys), len(sh.busy)
+	sh.mu.Unlock()
+	if records > tombstoneRing {
+		t.Fatalf("%d records retained after %d delete cycles, want <= %d", records, cycles, tombstoneRing)
+	}
+	if keys != 0 || busy != 0 {
+		t.Fatalf("flow keys %d, busy guards %d after delete-all, want 0/0", keys, busy)
+	}
+	if got := o.Deployment(last); got == nil || got.State != StateDeleted {
+		t.Fatalf("most recent delete reads back as %+v, want deleted", got)
+	}
+	if got := o.Deployment(first); got != nil {
+		t.Fatalf("oldest tombstone still retained: %+v", got)
+	}
+	if err := o.Delete(first); !errors.Is(err, ErrUnknownDeployment) {
+		t.Fatalf("delete of a forgotten tombstone = %v, want ErrUnknownDeployment", err)
+	}
+	if st := o.ShardStats()[0]; st.Deleted != records || st.Active != 0 {
+		t.Fatalf("shard stats = %+v, want %d retained tombstones", st, records)
 	}
 }
 
@@ -306,7 +352,7 @@ func TestProvisionLifecycleStorm(t *testing.T) {
 			}
 			ids = append(ids, dep.ID)
 		}
-		if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+		if !o.shards[0].Allocator().Disjoint() || !o.Slices().Disjoint() {
 			t.Fatalf("round %d: disjointness violated", round)
 		}
 		for _, id := range ids {

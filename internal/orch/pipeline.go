@@ -82,7 +82,7 @@ func (s stageID) String() string {
 // from a live deployment's surviving state so repair can re-run only
 // the invalidated suffix. Callers must hold topoMu (read side).
 type pipeline struct {
-	o       *Orchestrator
+	o       *shard
 	spec    chain.Spec
 	flowKey string
 
@@ -128,7 +128,7 @@ type pipeline struct {
 // span in ctx (an untraced entry point), the pipeline stays span-free:
 // stage spans only ever exist inside an enclosing traced operation.
 func (p *pipeline) attachTrace(ctx context.Context) {
-	if tr := p.o.tracer(); tr != nil {
+	if tr := p.o.hooks().tr; tr != nil {
 		if sc, ok := trace.FromContext(ctx); ok {
 			p.tr, p.sctx = tr, sc
 		}
@@ -137,7 +137,7 @@ func (p *pipeline) attachTrace(ctx context.Context) {
 
 // newPipeline resolves the spec (live VMs, NF profiles with demand
 // overrides) and returns a pipeline ready to run from stageCluster.
-func (o *Orchestrator) newPipeline(spec chain.Spec, flowKey string) (*pipeline, error) {
+func (o *shard) newPipeline(spec chain.Spec, flowKey string) (*pipeline, error) {
 	vms := o.liveVMs(spec.Service)
 	if len(vms) == 0 {
 		return nil, fmt.Errorf("no live VMs offer service %q", spec.Service)
@@ -169,7 +169,7 @@ func (o *Orchestrator) newPipeline(spec chain.Spec, flowKey string) (*pipeline, 
 // never races snapshot readers; the remaining fields are immutable
 // records or replaced wholesale by the stages that recompute them. The
 // caller must hold the deployment's exclusive-operation claim.
-func (o *Orchestrator) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
+func (o *shard) pipelineFrom(ctx context.Context, dep *Deployment) *pipeline {
 	place := dep.Placement
 	place.Hosts = append([]topology.NodeID(nil), dep.Placement.Hosts...)
 	place.Domains = append([]topology.Domain(nil), dep.Placement.Domains...)
@@ -210,7 +210,7 @@ func (p *pipeline) rollback() {
 // observer is installed (telemetry), each executed stage reports its
 // wall-clock duration — including the failing one.
 func (p *pipeline) runFrom(first stageID) error {
-	obs := p.o.stageObserver()
+	obs := p.o.hooks().stageObs
 	for s := first; s < numStages; s++ {
 		var err error
 		if obs != nil || p.tr != nil {

@@ -136,11 +136,15 @@ func (o *Orchestrator) HandleLinkFailureCtx(ctx context.Context, link topology.L
 // topology transaction and reconciles each affected active deployment
 // exactly once, classifying it against the union of dead resources — a
 // rack-level event (a ToR plus all its PMs, or a cable bundle) is one
-// reconciliation pass, not one per resource. Affected chains are found
-// through the reverse node and link indexes (O(damage), not
-// O(deployments)) and repaired concurrently over a bounded worker pool.
-// One report per affected deployment is returned in ID order; err
-// carries the first failed repair, if any.
+// reconciliation pass, not one per resource. The resources are marked
+// down once (the topology and its liveness bits are shared-core
+// state), then every shard reconciles concurrently: each finds its own
+// affected chains through its reverse node and link indexes
+// (O(damage), not O(deployments)) and repairs them over a bounded
+// worker pool, so a rack failure spanning tenants on different shards
+// repairs every affected chain exactly once. One report per affected
+// deployment is returned in ID order; err carries the first failed or
+// permanently-busy repair, if any.
 //
 // Unknown IDs are rejected up front: nothing is marked down and no
 // repair runs, so callers can map the error to a 404 without partial
@@ -162,27 +166,36 @@ func (o *Orchestrator) HandleFailuresCtx(ctx context.Context, nodes []topology.N
 	if err != nil {
 		return nil, err
 	}
-	reports := o.reconcileFailures(ctx, dead)
-	o.emitRepairEvents(reports, o.failureDomain(dead))
+	perShard := make([][]RepairReport, len(o.shards))
+	runPool(len(o.shards), 0, func(i int) {
+		perShard[i] = o.shards[i].reconcileFailures(ctx, dead)
+	})
+	domain := o.failureDomain(dead)
+	var reports []RepairReport
+	for _, r := range perShard {
+		o.emitRepairEvents(r, domain)
+		reports = append(reports, r...)
+	}
+	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
 	return reports, firstRepairError(reports)
 }
 
 // markFailuresDown is the topology half of HandleFailures: it validates
 // every ID, marks the nodes and links down in one write-lock
 // transaction, and returns the failure set with its shared-risk groups
-// collected. It touches only shared-core state, so under sharding it
-// runs exactly once regardless of how many shards reconcile afterwards.
-func (o *Orchestrator) markFailuresDown(nodes []topology.NodeID, links []topology.LinkID) (resilience.FailureSet, error) {
-	o.topoMu.Lock()
+// collected. It touches only shared-core state, so it runs exactly once
+// regardless of how many shards reconcile afterwards.
+func (c *sharedCore) markFailuresDown(nodes []topology.NodeID, links []topology.LinkID) (resilience.FailureSet, error) {
+	c.topoMu.Lock()
 	for _, n := range nodes {
-		if o.topo.Node(n) == nil {
-			o.topoMu.Unlock()
+		if c.topo.Node(n) == nil {
+			c.topoMu.Unlock()
 			return resilience.FailureSet{}, fmt.Errorf("orch: node failure: topology: SetNodeDown: unknown node %d", n)
 		}
 	}
 	for _, l := range links {
-		if o.topo.Link(l) == nil {
-			o.topoMu.Unlock()
+		if c.topo.Link(l) == nil {
+			c.topoMu.Unlock()
 			return resilience.FailureSet{}, fmt.Errorf("orch: link failure: topology: SetLinkDown: unknown link %d", l)
 		}
 	}
@@ -190,30 +203,29 @@ func (o *Orchestrator) markFailuresDown(nodes []topology.NodeID, links []topolog
 	// topology generation bump and one overlay patch per cached
 	// snapshot, so a storm of dead links costs O(affected arcs), not
 	// O(resources) graph invalidations.
-	_ = o.topo.SetNodesDown(nodes, true)
-	_ = o.topo.SetLinksDown(links, true)
+	_ = c.topo.SetNodesDown(nodes, true)
+	_ = c.topo.SetLinksDown(links, true)
 	// Inside the write lock: a provision acquiring topoMu.RLock after
 	// this point must not see the stale live-VM cache. Link failures
 	// invalidate it too — a dead PM↔ToR link strands that PM's VMs.
-	o.InvalidateVMCache()
+	c.InvalidateVMCache()
 	dead := resilience.NewFailureSet(nodes, links)
 	// Shared-risk groups of the dead links, collected while the
 	// topology is still quiescent: standbys crossing a same-group
 	// survivor are suspect and get replanned rather than swapped onto.
-	dead.CollectSRLGs(o.topo)
-	o.topoMu.Unlock()
+	dead.CollectSRLGs(c.topo)
+	c.topoMu.Unlock()
 	return dead, nil
 }
 
 // reconcileFailures is the deployment half of HandleFailures: it finds
-// this orchestrator's affected active deployments through the reverse
-// indexes and repairs them concurrently over a bounded worker pool.
-// Under sharding every shard runs its own pass against the same
-// already-marked failure set.
-func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.FailureSet) []RepairReport {
+// this shard's affected active deployments through the reverse indexes
+// and repairs them concurrently over a bounded worker pool. Every shard
+// runs its own pass against the same already-marked failure set.
+func (o *shard) reconcileFailures(ctx context.Context, dead resilience.FailureSet) []RepairReport {
 	affected := o.affectedBy(dead)
 	reports := make([]RepairReport, len(affected))
-	tr := o.tracer()
+	tr := o.hooks().tr
 	parent, _ := trace.FromContext(ctx)
 	runPool(len(affected), 0, func(i int) {
 		// One repair span per deployment wraps the whole busy-retry
@@ -253,10 +265,10 @@ func (o *Orchestrator) reconcileFailures(ctx context.Context, dead resilience.Fa
 // placement behind. All events of one HandleFailures batch carry the
 // same failure domain, letting the optimizer's storm mode coalesce
 // their follow-up work per shared cause instead of per deployment.
-func (o *Orchestrator) emitRepairEvents(reports []RepairReport, domain string) {
+func (c *sharedCore) emitRepairEvents(reports []RepairReport, domain string) {
 	for _, rep := range reports {
 		if rep.Succeeded() {
-			o.emit(Event{Kind: EventRepairCompleted, Deployment: rep.ID, Action: rep.Action,
+			c.emit(Event{Kind: EventRepairCompleted, Deployment: rep.ID, Action: rep.Action,
 				Domain: domain, TraceID: rep.TraceID, SpanID: rep.SpanID})
 		}
 	}
@@ -266,7 +278,7 @@ func (o *Orchestrator) emitRepairEvents(reports []RepairReport, domain string) {
 // batch: the dead links' risk groups when any exist ("srlg:3+7" — the
 // physical tray or conduit that snapped), otherwise a unique per-batch
 // tag — either way, every repair event of the batch shares it.
-func (o *Orchestrator) failureDomain(dead resilience.FailureSet) string {
+func (c *sharedCore) failureDomain(dead resilience.FailureSet) string {
 	if len(dead.SRLGs) > 0 {
 		groups := make([]int, 0, len(dead.SRLGs))
 		for g := range dead.SRLGs {
@@ -279,7 +291,7 @@ func (o *Orchestrator) failureDomain(dead resilience.FailureSet) string {
 		}
 		return "srlg:" + strings.Join(parts, "+")
 	}
-	return "batch:" + strconv.FormatUint(atomic.AddUint64(&o.batchSeq, 1), 10)
+	return "batch:" + strconv.FormatUint(atomic.AddUint64(&c.batchSeq, 1), 10)
 }
 
 // firstRepairError folds a report list to the error HandleFailures
@@ -302,7 +314,7 @@ func firstRepairError(reports []RepairReport) error {
 // affectedBy returns the active deployments whose footprint intersects
 // the failure set, each exactly once, sorted by ID — a union of
 // reverse-index lookups, not a scan.
-func (o *Orchestrator) affectedBy(dead resilience.FailureSet) []DeploymentID {
+func (o *shard) affectedBy(dead resilience.FailureSet) []DeploymentID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	seen := make(map[DeploymentID]bool)
@@ -361,7 +373,7 @@ func (o *Orchestrator) affectedBy(dead resilience.FailureSet) []DeploymentID {
 // failure set intersects the deployment's footprint, applies the
 // cheapest repair that covers the whole damage, and falls back to a
 // full rebuild when the differential repair is impossible.
-func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead resilience.FailureSet) RepairReport {
+func (o *shard) repairAround(ctx context.Context, id DeploymentID, dead resilience.FailureSet) RepairReport {
 	dep, err := o.beginExclusive(id)
 	if err != nil {
 		// A concurrent delete/repair/move claimed the deployment; its
@@ -447,7 +459,7 @@ func (o *Orchestrator) repairAround(ctx context.Context, id DeploymentID, dead r
 // success, commits the outcome: the reverse indexes swap from the old
 // to the new footprint atomically with the field update, and any two-λ
 // grace window closes only after the new rules are live.
-func (o *Orchestrator) finishRepairFrom(p *pipeline, dep *Deployment, first stageID) error {
+func (o *shard) finishRepairFrom(p *pipeline, dep *Deployment, first stageID) error {
 	if err := p.runFrom(first); err != nil {
 		return err
 	}
@@ -464,7 +476,7 @@ func (o *Orchestrator) finishRepairFrom(p *pipeline, dep *Deployment, first stag
 // repath re-runs the connectivity stages of the pipeline (path →
 // standby → wdm → rules) around the deployment's unchanged placement —
 // the cold data-path repair, which also replans the standby.
-func (o *Orchestrator) repath(ctx context.Context, dep *Deployment) error {
+func (o *shard) repath(ctx context.Context, dep *Deployment) error {
 	return o.finishRepairFrom(o.pipelineFrom(ctx, dep), dep, stagePath)
 }
 
@@ -474,7 +486,7 @@ func (o *Orchestrator) repath(ctx context.Context, dep *Deployment) error {
 // only a wavelength retune (two-λ grace) and a make-before-break rule
 // swap. The consumed standby is cleared; a later ActionRestandby or any
 // cold repair replans it.
-func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error {
+func (o *shard) swapToStandby(ctx context.Context, dep *Deployment) error {
 	p := o.pipelineFrom(ctx, dep)
 	sb := dep.Standby
 	p.path = append([]topology.NodeID(nil), sb.Path...)
@@ -489,7 +501,7 @@ func (o *Orchestrator) swapToStandby(ctx context.Context, dep *Deployment) error
 // On planning failure the dead standby is still dropped — the index
 // must not keep routing failures at a stale alternate — and the error
 // reports that the chain is left unprotected.
-func (o *Orchestrator) replanStandby(ctx context.Context, dep *Deployment) error {
+func (o *shard) replanStandby(ctx context.Context, dep *Deployment) error {
 	p := o.pipelineFrom(ctx, dep)
 	planErr := p.planStandby()
 	o.mu.Lock()
@@ -506,7 +518,7 @@ func (o *Orchestrator) replanStandby(ctx context.Context, dep *Deployment) error
 // replaceAndRepath migrates the VNF instances hosted on dead nodes to
 // surviving hosts and re-runs the connectivity stages. The VC and slice
 // are untouched.
-func (o *Orchestrator) replaceAndRepath(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
+func (o *shard) replaceAndRepath(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
 	p := o.pipelineFrom(ctx, dep)
 	if err := o.migrateOff(p, dep, dead); err != nil {
 		return err
@@ -520,7 +532,7 @@ func (o *Orchestrator) replaceAndRepath(ctx context.Context, dep *Deployment, de
 // on failed OPSs (they may be optoelectronic) migrate, and the
 // connectivity stages re-run against the patched slice. The VC ID,
 // slice ID and bandwidth reservation all survive.
-func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
+func (o *shard) patchSlice(ctx context.Context, dep *Deployment, dead resilience.FailureSet) error {
 	vms := o.liveVMs(dep.Spec.Service)
 	if len(vms) == 0 {
 		return fmt.Errorf("no live VMs offer service %q", dep.Spec.Service)
@@ -555,7 +567,7 @@ func (o *Orchestrator) patchSlice(ctx context.Context, dep *Deployment, dead res
 // first (placement stays optical when capacity allows), then the PMs
 // hosting the service's live VMs — updating the staged placement and
 // its O/E/O accounting. Instances on surviving hosts are never touched.
-func (o *Orchestrator) migrateOff(p *pipeline, dep *Deployment, dead resilience.FailureSet) error {
+func (o *shard) migrateOff(p *pipeline, dep *Deployment, dead resilience.FailureSet) error {
 	var cands []topology.NodeID
 	cands = append(cands, o.optoelectronicOf(p.vc.AL.OPSs)...)
 	cands = append(cands, o.pmsOf(o.liveVMs(dep.Spec.Service))...)

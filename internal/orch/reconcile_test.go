@@ -92,10 +92,10 @@ func TestSliceOPSFailurePatchesWithoutTouchingVNFs(t *testing.T) {
 		}
 	}
 	// Rules follow the (possibly new) path; invariants hold.
-	if got := len(o.Controller().RulesForFlow(after.FlowKey())); got != len(after.Path) {
+	if got := len(o.shards[0].Controller().RulesForFlow(after.FlowKey())); got != len(after.Path) {
 		t.Fatalf("rules = %d, want %d", got, len(after.Path))
 	}
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !o.shards[0].Allocator().Disjoint() || !o.Slices().Disjoint() {
 		t.Fatal("disjointness violated after patch")
 	}
 }
@@ -177,7 +177,7 @@ func TestPMFailureReplacesOnlyAffectedVNF(t *testing.T) {
 			t.Fatalf("untouched VNF %d moved: %d -> %d", i, dep.Placement.Hosts[i], h)
 		}
 	}
-	if got := len(o.Controller().RulesForFlow(after.FlowKey())); got != len(after.Path) {
+	if got := len(o.shards[0].Controller().RulesForFlow(after.FlowKey())); got != len(after.Path) {
 		t.Fatalf("rules = %d, want %d", got, len(after.Path))
 	}
 }
@@ -322,7 +322,7 @@ func TestSequentialOPSFailuresKeepPatching(t *testing.T) {
 	// unowned in the pool; the second patch must route around it.
 	assertPatched(d1, d1.Slice.OPSs[0])
 	assertPatched(d2, d2.Slice.OPSs[0])
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !o.shards[0].Allocator().Disjoint() || !o.Slices().Disjoint() {
 		t.Fatal("disjointness violated after sequential patches")
 	}
 }
@@ -336,7 +336,7 @@ func TestReverseIndexMaintained(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	for _, n := range o.Deployment(dep.ID).Path {
-		ids := o.affectedBy(resilience.NewFailureSet([]topology.NodeID{n}, nil))
+		ids := o.shards[0].affectedBy(resilience.NewFailureSet([]topology.NodeID{n}, nil))
 		if len(ids) != 1 || ids[0] != dep.ID {
 			t.Fatalf("affectedBy(%d) = %v, want [%d]", n, ids, dep.ID)
 		}
@@ -344,9 +344,9 @@ func TestReverseIndexMaintained(t *testing.T) {
 	if err := o.Delete(dep.ID); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	o.mu.Lock()
-	leftoverNodes, leftoverLinks := len(o.nodeIndex), len(o.linkIndex)
-	o.mu.Unlock()
+	o.shards[0].mu.Lock()
+	leftoverNodes, leftoverLinks := len(o.shards[0].nodeIndex), len(o.shards[0].linkIndex)
+	o.shards[0].mu.Unlock()
 	if leftoverNodes != 0 {
 		t.Fatalf("node index leaked %d entries after delete", leftoverNodes)
 	}
@@ -364,9 +364,9 @@ func TestUpgradeScaleRespectBusyGuard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	o.mu.Lock()
-	o.busy[dep.ID] = true
-	o.mu.Unlock()
+	o.shards[0].mu.Lock()
+	o.shards[0].busy[dep.ID] = true
+	o.shards[0].mu.Unlock()
 	if err := o.Upgrade(dep.ID); !errors.Is(err, ErrBusy) {
 		t.Fatalf("Upgrade under busy = %v, want ErrBusy", err)
 	}
@@ -376,9 +376,9 @@ func TestUpgradeScaleRespectBusyGuard(t *testing.T) {
 	if err := o.Delete(dep.ID); !errors.Is(err, ErrBusy) {
 		t.Fatalf("Delete under busy = %v, want ErrBusy", err)
 	}
-	o.mu.Lock()
-	delete(o.busy, dep.ID)
-	o.mu.Unlock()
+	o.shards[0].mu.Lock()
+	delete(o.shards[0].busy, dep.ID)
+	o.shards[0].mu.Unlock()
 	if err := o.Upgrade(dep.ID); err != nil {
 		t.Fatalf("Upgrade after release: %v", err)
 	}
@@ -431,14 +431,14 @@ func TestConcurrentFailureAndProvision(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if !o.Allocator().Disjoint() || !o.Slices().Disjoint() {
+	if !o.shards[0].Allocator().Disjoint() || !o.Slices().Disjoint() {
 		t.Fatal("disjointness violated under concurrent failure/provision")
 	}
 	for _, dep := range o.Deployments() {
 		if dep.State != StateActive {
 			continue
 		}
-		if got := len(o.Controller().RulesForFlow(dep.FlowKey())); got != len(dep.Path) {
+		if got := len(o.shards[0].Controller().RulesForFlow(dep.FlowKey())); got != len(dep.Path) {
 			t.Fatalf("deployment %d: rules %d != path %d", dep.ID, got, len(dep.Path))
 		}
 	}
@@ -491,7 +491,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 
 	before := o.Deployment(dep.ID)
 	instBefore := o.Manager().Instance(before.Instances[0])
-	rulesBefore := len(o.Controller().RulesForFlow(before.FlowKey()))
+	rulesBefore := len(o.shards[0].Controller().RulesForFlow(before.FlowKey()))
 
 	if err := o.MoveNF(dep.ID, 0, target); err == nil {
 		t.Fatal("MoveNF to a stranded PM succeeded, want re-path failure")
@@ -508,7 +508,7 @@ func TestMoveNFRestoresStateOnRepathFailure(t *testing.T) {
 	if len(after.Path) != len(before.Path) {
 		t.Fatalf("path mutated: %v -> %v", before.Path, after.Path)
 	}
-	if got := len(o.Controller().RulesForFlow(after.FlowKey())); got != rulesBefore {
+	if got := len(o.shards[0].Controller().RulesForFlow(after.FlowKey())); got != rulesBefore {
 		t.Fatalf("rules changed: %d -> %d", rulesBefore, got)
 	}
 	if after.Conversions != before.Conversions {

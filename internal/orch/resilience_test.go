@@ -132,16 +132,16 @@ func TestProvisionPlansDisjointStandby(t *testing.T) {
 	// Reverse indexes cover the standby too: a failure that consumes
 	// only the standby must still find the deployment.
 	for _, n := range []topology.NodeID{ids.tors[0][1], ids.opss[1]} {
-		o.mu.Lock()
-		_, hit := o.nodeIndex[n][dep.ID]
-		o.mu.Unlock()
+		o.shards[0].mu.Lock()
+		_, hit := o.shards[0].nodeIndex[n][dep.ID]
+		o.shards[0].mu.Unlock()
 		if !hit {
 			t.Fatalf("standby node %d missing from reverse index", n)
 		}
 	}
-	o.mu.Lock()
-	_, linkHit := o.linkIndex[ids.torOpsLinks[0][1]][dep.ID]
-	o.mu.Unlock()
+	o.shards[0].mu.Lock()
+	_, linkHit := o.shards[0].linkIndex[ids.torOpsLinks[0][1]][dep.ID]
+	o.shards[0].mu.Unlock()
 	if !linkHit {
 		t.Fatal("standby link missing from reverse link index")
 	}
@@ -167,12 +167,12 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 		t.Fatalf("test setup: victim %d not on primary %v", victim, dep.Path)
 	}
 
-	before := o.Controller().PathComputations()
+	before := o.shards[0].Controller().PathComputations()
 	reports, err := o.HandleNodeFailure(victim)
 	if err != nil {
 		t.Fatalf("HandleNodeFailure: %v", err)
 	}
-	after := o.Controller().PathComputations()
+	after := o.shards[0].Controller().PathComputations()
 	if after != before {
 		t.Fatalf("standby swap ran %d shortest-path computations, want 0", after-before)
 	}
@@ -206,7 +206,7 @@ func TestStandbySwapZeroPathComputations(t *testing.T) {
 	}
 	// Rules follow the standby; wavelength retuned onto its links with
 	// the grace window closed.
-	if n := len(o.Controller().RulesForFlow(got.FlowKey())); n != len(got.Path) {
+	if n := len(o.shards[0].Controller().RulesForFlow(got.FlowKey())); n != len(got.Path) {
 		t.Fatalf("rules = %d, want %d", n, len(got.Path))
 	}
 	if o.WDM().InGrace(got.FlowKey()) {
@@ -229,7 +229,7 @@ func TestColdRepathWhenStandbyDisabled(t *testing.T) {
 	if dep.Standby != nil {
 		t.Fatalf("standby planned despite StandbyK<0: %+v", dep.Standby)
 	}
-	before := o.Controller().PathComputations()
+	before := o.shards[0].Controller().PathComputations()
 	reports, err := o.HandleNodeFailure(ids.tors[0][0])
 	if err != nil {
 		t.Fatalf("HandleNodeFailure: %v", err)
@@ -237,7 +237,7 @@ func TestColdRepathWhenStandbyDisabled(t *testing.T) {
 	if len(reports) != 1 || reports[0].Action != ActionRepathed {
 		t.Fatalf("reports = %+v, want repathed", reports)
 	}
-	if o.Controller().PathComputations() == before {
+	if o.shards[0].Controller().PathComputations() == before {
 		t.Fatal("cold repath ran no shortest-path computation — counting hook broken?")
 	}
 	got := o.Deployment(dep.ID)
@@ -256,12 +256,12 @@ func TestLinkFailureSwapsToStandby(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	victim := ids.torOpsLinks[0][0] // primary boundary link
-	before := o.Controller().PathComputations()
+	before := o.shards[0].Controller().PathComputations()
 	reports, err := o.HandleLinkFailure(victim)
 	if err != nil {
 		t.Fatalf("HandleLinkFailure: %v", err)
 	}
-	if o.Controller().PathComputations() != before {
+	if o.shards[0].Controller().PathComputations() != before {
 		t.Fatal("link-failure standby swap ran shortest-path computations")
 	}
 	if len(reports) != 1 || reports[0].ID != dep.ID || reports[0].Action != ActionSwapped {

@@ -1,11 +1,11 @@
-// Sharded multi-tenant orchestration: N orchestrator shards over one
-// shared physical substrate. Each shard owns its own deployment map,
-// reverse node/link→deployment indexes, flow-key reservations, busy
-// guards, SDN flow tables and — critically for throughput — its own
-// cluster allocator over a disjoint partition of the OPS pool, so the
-// vertex-cover search that dominates provisioning (the single global
-// allocator mutex was the measured lock convoy in BENCH_load) runs on
-// an n-times smaller candidate set with zero cross-shard contention.
+// The orchestrator: n ≥ 1 shards over one shared physical substrate.
+// Each shard owns its own deployment map, reverse node/link→deployment
+// indexes, flow-key reservations, busy guards, SDN flow tables and —
+// critically for throughput — its own cluster allocator over a
+// disjoint partition of the OPS pool, so the vertex-cover search that
+// dominates provisioning (the single global allocator mutex was the
+// measured lock convoy in BENCH_load) runs on an n-times smaller
+// candidate set with zero cross-shard contention.
 // The topology, its epoch-keyed routing snapshots, the capacity ledger
 // and the wavelength allocator stay shared: they are physical truth and
 // must be globally consistent.
@@ -19,6 +19,7 @@ package orch
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -59,252 +60,195 @@ func (m ShardMode) String() string {
 	}
 }
 
-// ShardRouter maps specs and deployment IDs to shard indexes. Routing
-// is pure arithmetic over immutable fields, so it needs no lock:
-// specs hash (FNV-1a) on tenant or flow key, and deployment IDs decode
-// their issuing shard from the ID-stride scheme ((id-1) mod n).
-type ShardRouter struct {
-	n    int
-	mode ShardMode
+// Orchestrator is the multi-tenant control point of Fig. 6: n ≥ 1
+// shards over one sharedCore, with per-deployment verbs routed to the
+// owning shard and fleet-wide operations fanned out over all shards
+// and merged. Routing is pure arithmetic over immutable fields, so it
+// needs no lock: specs hash (FNV-1a) on tenant or flow key, and
+// deployment IDs decode their issuing shard from the ID stride
+// ((id-1) mod n). Safe for concurrent use.
+type Orchestrator struct {
+	*sharedCore
+	mode   ShardMode
+	shards []*shard
 }
 
-// NewShardRouter returns a router over n shards (n < 1 is treated as
-// 1) in the given mode.
-func NewShardRouter(n int, mode ShardMode) ShardRouter {
-	if n < 1 {
-		n = 1
-	}
-	return ShardRouter{n: n, mode: mode}
-}
-
-// Shards returns the shard count.
-func (r ShardRouter) Shards() int { return r.n }
-
-// Mode returns the routing mode.
-func (r ShardRouter) Mode() ShardMode { return r.mode }
-
-// ShardForKey returns the shard owning the given tenant/name flow key.
-// Both modes derive the shard from the flow key alone, so two specs
-// with the same flow key always land on the same shard — which is what
-// makes each shard's local flow-key map a global uniqueness check.
-func (r ShardRouter) ShardForKey(tenant, name string) int {
-	if r.n == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(tenant))
-	if r.mode == ShardByChain {
-		_, _ = h.Write([]byte{'/'})
-		_, _ = h.Write([]byte(name))
-	}
-	return int(h.Sum32() % uint32(r.n))
-}
-
-// ShardForSpec routes a chain spec.
-func (r ShardRouter) ShardForSpec(spec chain.Spec) int {
-	return r.ShardForKey(spec.Tenant, spec.Name)
-}
-
-// ShardOf returns the shard that issued the given deployment ID
-// (shard s of n issues IDs s+1, s+1+n, …). Non-positive IDs — never
-// issued — map to shard 0 so lookups fail with the shard's own
-// ErrUnknownDeployment instead of an index panic.
-func (r ShardRouter) ShardOf(id DeploymentID) int {
-	if id <= 0 {
-		return 0
-	}
-	return int(id-1) % r.n
-}
-
-// Sharded is the multi-shard orchestrator facade: the full Orchestrator
-// verb set, with per-deployment verbs routed to the owning shard and
-// fleet-wide operations fanned out over all shards and merged. A
-// one-shard Sharded behaves byte-for-byte like a bare Orchestrator.
-type Sharded struct {
-	core   *sharedCore
-	router ShardRouter
-	shards []*Orchestrator
-}
-
-// NewSharded builds n orchestrator shards over one shared core,
-// partitioning the topology's OPSs round-robin (in ID order) into n
-// disjoint allocator pools. Config.Allocator cannot be combined with
-// n > 1 — a caller-shared allocator would reintroduce exactly the
-// global lock sharding removes.
-func NewSharded(cfg Config, n int, mode ShardMode) (*Sharded, error) {
+// New builds cfg.Shards orchestrator shards (at least one) over one
+// shared core. With more than one shard the topology's OPSs are
+// partitioned round-robin (in ID order) into disjoint allocator pools;
+// a single shard owns the whole pool.
+func New(cfg Config) (*Orchestrator, error) {
 	if cfg.Topo == nil {
-		return nil, fmt.Errorf("orch: sharded: nil topology")
+		return nil, fmt.Errorf("orch: nil topology")
 	}
+	n := cfg.Shards
 	if n < 1 {
 		n = 1
-	}
-	if cfg.Allocator != nil && n > 1 {
-		return nil, fmt.Errorf("orch: sharded: a shared Allocator requires shards=1")
 	}
 	opss := cfg.Topo.NodeIDs(topology.KindOPS)
 	if n > 1 && len(opss) < n {
-		return nil, fmt.Errorf("orch: sharded: %d shards need at least %d OPSs, topology has %d",
+		return nil, fmt.Errorf("orch: %d shards need at least %d OPSs, topology has %d",
 			n, n, len(opss))
 	}
 	core, err := newSharedCore(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("orch: sharded: %w", err)
+		return nil, fmt.Errorf("orch: %w", err)
 	}
 	builder := cfg.Builder
 	if builder == nil {
 		builder = cluster.PaperBuilder{}
 	}
-	s := &Sharded{
-		core:   core,
-		router: NewShardRouter(n, mode),
-		shards: make([]*Orchestrator, n),
-	}
+	o := &Orchestrator{sharedCore: core, mode: cfg.ShardMode, shards: make([]*shard, n)}
 	for i := 0; i < n; i++ {
-		alloc := cfg.Allocator
-		if alloc == nil {
-			var pool []topology.NodeID
-			if n > 1 {
-				// Round-robin over the ID-sorted OPS list: pool sizes
-				// differ by at most one and stay deterministic across
-				// runs.
-				for j := i; j < len(opss); j += n {
-					pool = append(pool, opss[j])
-				}
+		var pool []topology.NodeID
+		if n > 1 {
+			// Round-robin over the ID-sorted OPS list: pool sizes differ
+			// by at most one and stay deterministic across runs.
+			for j := i; j < len(opss); j += n {
+				pool = append(pool, opss[j])
 			}
-			alloc, err = cluster.NewRestrictedAllocator(cfg.Topo, builder, pool)
-			if err != nil {
-				return nil, fmt.Errorf("orch: sharded: shard %d: %w", i, err)
-			}
+		}
+		alloc, err := cluster.NewRestrictedAllocator(cfg.Topo, builder, pool)
+		if err != nil {
+			return nil, fmt.Errorf("orch: shard %d: %w", i, err)
 		}
 		ctrl, err := sdn.NewController(cfg.Topo)
 		if err != nil {
-			return nil, fmt.Errorf("orch: sharded: shard %d: %w", i, err)
+			return nil, fmt.Errorf("orch: shard %d: %w", i, err)
 		}
-		if cfg.DisablePathCache {
-			ctrl.SetAlternativesCache(false)
-		}
-		s.shards[i] = newShard(core, alloc, ctrl, i, n)
+		o.shards[i] = newShard(core, alloc, ctrl, i, n)
 	}
-	return s, nil
+	return o, nil
 }
 
 // Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
+func (o *Orchestrator) Shards() int { return len(o.shards) }
 
-// Router returns the shard router.
-func (s *Sharded) Router() ShardRouter { return s.router }
+// Shard returns the i-th shard, for per-shard inspection: its cluster
+// allocator (Allocator) and SDN controller (Controller).
+func (o *Orchestrator) Shard(i int) *shard { return o.shards[i] }
 
-// Shard returns the i-th shard orchestrator. Shard 0 of a one-shard
-// Sharded is the whole system; callers that need a plain Orchestrator
-// (tests, single-shard embedders) use this.
-func (s *Sharded) Shard(i int) *Orchestrator { return s.shards[i] }
-
-// ShardOf returns the shard index owning the deployment ID.
-func (s *Sharded) ShardOf(id DeploymentID) int { return s.router.ShardOf(id) }
-
-func (s *Sharded) owner(id DeploymentID) *Orchestrator {
-	return s.shards[s.router.ShardOf(id)]
-}
-
-// Provision routes the spec to its shard and deploys it there.
-func (s *Sharded) Provision(spec chain.Spec) (*Deployment, error) {
-	return s.shards[s.router.ShardForSpec(spec)].Provision(spec)
-}
-
-// ProvisionCtx is Provision carrying a request context for trace
-// propagation.
-func (s *Sharded) ProvisionCtx(ctx context.Context, spec chain.Spec) (*Deployment, error) {
-	return s.shards[s.router.ShardForSpec(spec)].ProvisionCtx(ctx, spec)
-}
-
-// ProvisionBatch provisions independent specs concurrently across
-// shards over one bounded worker pool, one result per spec in input
-// order. Intra-batch flow-key duplicates are rejected up front exactly
-// like Orchestrator.ProvisionBatch; cross-request duplicates are
-// caught by the owning shard (same key → same shard, always).
-func (s *Sharded) ProvisionBatch(specs []chain.Spec, workers int) []BatchResult {
-	results := make([]BatchResult, len(specs))
-	if len(specs) == 0 {
-		return results
+// ShardOf returns the shard that issued the given deployment ID (shard
+// s of n issues IDs s+1, s+1+n, …). Non-positive IDs — never issued —
+// map to shard 0 so lookups fail with ErrUnknownDeployment instead of
+// an index panic.
+func (o *Orchestrator) ShardOf(id DeploymentID) int {
+	if id <= 0 {
+		return 0
 	}
-	seen := make(map[string]int, len(specs))
-	dup := make(map[int]int)
-	for i, spec := range specs {
-		key := spec.Tenant + "/" + spec.Name
-		if first, ok := seen[key]; ok {
-			dup[i] = first
-			continue
-		}
-		seen[key] = i
+	return int(id-1) % len(o.shards)
+}
+
+// shardFor returns the shard owning a spec's tenant/name flow key.
+// Both modes derive the shard from the flow key alone, so two specs
+// with the same flow key always land on the same shard — which is what
+// makes each shard's local flow-key map a global uniqueness check.
+func (o *Orchestrator) shardFor(spec chain.Spec) *shard {
+	n := len(o.shards)
+	if n == 1 {
+		return o.shards[0]
 	}
-	runPool(len(specs), workers, func(i int) {
-		if first, ok := dup[i]; ok {
-			results[i] = BatchResult{Index: i, Err: fmt.Errorf(
-				"orch: batch: spec %d duplicates flow key %q of spec %d",
-				i, specs[i].Tenant+"/"+specs[i].Name, first)}
-			return
-		}
-		dep, err := s.Provision(specs[i])
-		results[i] = BatchResult{Index: i, Deployment: dep, Err: err}
-	})
-	return results
+	h := fnv.New32a()
+	_, _ = h.Write([]byte(spec.Tenant))
+	if o.mode == ShardByChain {
+		_, _ = h.Write([]byte{'/'})
+		_, _ = h.Write([]byte(spec.Name))
+	}
+	return o.shards[h.Sum32()%uint32(n)]
 }
 
-// Delete routes to the owning shard.
-func (s *Sharded) Delete(id DeploymentID) error { return s.owner(id).Delete(id) }
+func (o *Orchestrator) owner(id DeploymentID) *shard { return o.shards[o.ShardOf(id)] }
 
-// DeleteCtx is Delete carrying a request context for trace propagation.
-func (s *Sharded) DeleteCtx(ctx context.Context, id DeploymentID) error {
-	return s.owner(id).DeleteCtx(ctx, id)
+// Provision deploys a chain end to end on the shard its flow key
+// routes to. On any failure all partial state is rolled back and the
+// orchestrator is unchanged. Safe for concurrent use: independent specs
+// provision in parallel (see also ProvisionBatch), serialized only at
+// the shared resource pools.
+func (o *Orchestrator) Provision(spec chain.Spec) (*Deployment, error) {
+	return o.ProvisionCtx(context.Background(), spec)
 }
 
-// Repair routes to the owning shard.
-func (s *Sharded) Repair(id DeploymentID) error { return s.owner(id).Repair(id) }
-
-// Upgrade routes to the owning shard.
-func (s *Sharded) Upgrade(id DeploymentID) error { return s.owner(id).Upgrade(id) }
-
-// Modify routes to the owning shard.
-func (s *Sharded) Modify(id DeploymentID, bandwidthGbps float64) error {
-	return s.owner(id).Modify(id, bandwidthGbps)
+// ProvisionCtx is Provision carrying a request context. With a tracer
+// attached it records a "provision" span — a child of the span in ctx
+// (the server's per-request root) when one is there, the root of a
+// fresh trace otherwise — with every executed pipeline stage as a
+// child span.
+func (o *Orchestrator) ProvisionCtx(ctx context.Context, spec chain.Spec) (*Deployment, error) {
+	return o.shardFor(spec).ProvisionCtx(ctx, spec)
 }
 
-// ScaleNF routes to the owning shard.
-func (s *Sharded) ScaleNF(id DeploymentID, idx, replicas int) error {
-	return s.owner(id).ScaleNF(id, idx, replicas)
+// Delete tears a deployment down: flow rules removed, VNFs terminated,
+// slice and cluster released. The record is kept with state Deleted
+// while it is among its shard's most recent tombstones.
+func (o *Orchestrator) Delete(id DeploymentID) error {
+	return o.DeleteCtx(context.Background(), id)
 }
 
-// MoveNF routes to the owning shard.
-func (s *Sharded) MoveNF(id DeploymentID, idx int, to topology.NodeID) error {
-	return s.owner(id).MoveNF(id, idx, to)
+// DeleteCtx is Delete carrying a request context; with a tracer
+// attached it records a "delete" span under the span in ctx.
+func (o *Orchestrator) DeleteCtx(ctx context.Context, id DeploymentID) error {
+	return o.owner(id).DeleteCtx(ctx, id)
 }
 
-// ReProtect routes to the owning shard.
-func (s *Sharded) ReProtect(id DeploymentID) (*resilience.Standby, bool, error) {
-	return s.owner(id).ReProtect(id)
+// Repair tears an active deployment's resources down and rebuilds the
+// chain from scratch around the current topology state. This is the
+// heavyweight path; HandleFailures prefers the differential repairs in
+// reconcile.go and only falls back to this. On success the deployment
+// stays Active with Repairs incremented; on failure its resources are
+// released and it transitions to Failed.
+func (o *Orchestrator) Repair(id DeploymentID) error { return o.owner(id).Repair(id) }
+
+// Upgrade performs a rolling version upgrade of every VNF in the chain
+// (§IV-B: upgradation).
+func (o *Orchestrator) Upgrade(id DeploymentID) error { return o.owner(id).Upgrade(id) }
+
+// Modify changes a deployment's bandwidth reservation (§IV-B:
+// modification of NFCs).
+func (o *Orchestrator) Modify(id DeploymentID, bandwidthGbps float64) error {
+	return o.owner(id).Modify(id, bandwidthGbps)
 }
 
-// ReProtectGroup partitions the members by owning shard and runs each
-// shard's sub-group concurrently — every shard builds its own
-// GroupPlanner (its OPS pool is its own, so cross-shard bucket sharing
-// could never happen anyway). Outcomes merge in ID order and the
-// planner stats sum.
-func (s *Sharded) ReProtectGroup(domain string, ids []DeploymentID) GroupReport {
+// ScaleNF scales the chain's NF at position idx to the given replica
+// count (§IV-B: scaling during the VNF life cycle).
+func (o *Orchestrator) ScaleNF(id DeploymentID, idx, replicas int) error {
+	return o.owner(id).ScaleNF(id, idx, replicas)
+}
+
+// MoveNF migrates the chain's NF at position idx to another hosting-
+// capable node and re-provisions the path and wavelength around the
+// new location, transactionally (see the shard's MoveNF).
+func (o *Orchestrator) MoveNF(id DeploymentID, idx int, to topology.NodeID) error {
+	return o.owner(id).MoveNF(id, idx, to)
+}
+
+// ReProtect ensures the deployment has the best standby the current
+// topology allows (see optimize.go).
+func (o *Orchestrator) ReProtect(id DeploymentID) (*resilience.Standby, bool, error) {
+	return o.owner(id).ReProtect(id)
+}
+
+// ReProtectGroup re-protects every given chain as one failure-domain
+// group (see group.go). The members are partitioned by owning shard
+// and each shard's sub-group runs concurrently — every shard builds
+// its own GroupPlanner (its OPS pool is its own, so cross-shard bucket
+// sharing could never happen anyway). Outcomes merge in ID order and
+// the planner stats sum.
+func (o *Orchestrator) ReProtectGroup(domain string, ids []DeploymentID) GroupReport {
 	rep := GroupReport{Domain: domain}
 	if len(ids) == 0 {
 		return rep
 	}
-	perShard := make([][]DeploymentID, len(s.shards))
+	perShard := make([][]DeploymentID, len(o.shards))
 	for _, id := range ids {
-		sh := s.router.ShardOf(id)
+		sh := o.ShardOf(id)
 		perShard[sh] = append(perShard[sh], id)
 	}
-	reports := make([]GroupReport, len(s.shards))
-	runPool(len(s.shards), 0, func(i int) {
+	reports := make([]GroupReport, len(o.shards))
+	runPool(len(o.shards), 0, func(i int) {
 		if len(perShard[i]) == 0 {
 			return
 		}
-		reports[i] = s.shards[i].ReProtectGroup(domain, perShard[i])
+		reports[i] = o.shards[i].ReProtectGroup(domain, perShard[i])
 	})
 	for _, r := range reports {
 		rep.Outcomes = append(rep.Outcomes, r.Outcomes...)
@@ -318,194 +262,181 @@ func (s *Sharded) ReProtectGroup(domain string, ids []DeploymentID) GroupReport 
 	return rep
 }
 
-// Rehome routes to the owning shard.
-func (s *Sharded) Rehome(id DeploymentID, margin int) (bool, error) {
-	return s.owner(id).Rehome(id, margin)
+// Rehome re-places a drifted chain when a fresh placement beats the
+// current one by at least margin O/E/O conversions (see optimize.go).
+func (o *Orchestrator) Rehome(id DeploymentID, margin int) (bool, error) {
+	return o.owner(id).Rehome(id, margin)
 }
 
-// DefragLambda routes to the owning shard.
-func (s *Sharded) DefragLambda(id DeploymentID) (from, to int, retuned bool, err error) {
-	return s.owner(id).DefragLambda(id)
+// DefragLambda retunes the chain to the lowest wavelength free along
+// its whole path (see optimize.go).
+func (o *Orchestrator) DefragLambda(id DeploymentID) (from, to int, retuned bool, err error) {
+	return o.owner(id).DefragLambda(id)
 }
 
-// Deployment returns a snapshot from the owning shard, or nil.
-func (s *Sharded) Deployment(id DeploymentID) *Deployment { return s.owner(id).Deployment(id) }
+// Deployment returns a snapshot of the deployment, or nil.
+func (o *Orchestrator) Deployment(id DeploymentID) *Deployment { return o.owner(id).Deployment(id) }
 
-// Deployments merges every shard's snapshots, sorted by ID.
-func (s *Sharded) Deployments() []*Deployment {
+// Deployments returns snapshots of every shard's records (active
+// deployments plus the retained tombstones), sorted by ID.
+func (o *Orchestrator) Deployments() []*Deployment {
 	var out []*Deployment
-	for _, sh := range s.shards {
+	for _, sh := range o.shards {
 		out = append(out, sh.Deployments()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// ActiveCount sums active deployments across shards.
-func (s *Sharded) ActiveCount() int {
+// ActiveCount returns the number of active deployments.
+func (o *Orchestrator) ActiveCount() int {
 	n := 0
-	for _, sh := range s.shards {
+	for _, sh := range o.shards {
 		n += sh.ActiveCount()
 	}
 	return n
 }
 
-// HandleNodeFailure is the single-node form of HandleFailures.
-func (s *Sharded) HandleNodeFailure(node topology.NodeID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(context.Background(), []topology.NodeID{node}, nil)
-}
-
-// HandleNodeFailureCtx is HandleNodeFailure carrying a request context
-// for trace propagation.
-func (s *Sharded) HandleNodeFailureCtx(ctx context.Context, node topology.NodeID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(ctx, []topology.NodeID{node}, nil)
-}
-
-// HandleLinkFailure is the single-link form of HandleFailures.
-func (s *Sharded) HandleLinkFailure(link topology.LinkID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(context.Background(), nil, []topology.LinkID{link})
-}
-
-// HandleLinkFailureCtx is HandleLinkFailure carrying a request context
-// for trace propagation.
-func (s *Sharded) HandleLinkFailureCtx(ctx context.Context, link topology.LinkID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(ctx, nil, []topology.LinkID{link})
-}
-
-// HandleFailures marks the failed resources down once — the topology
-// and its liveness bits are shared-core state — then fans the
-// reconciliation pass out over every shard concurrently: each shard
-// classifies and repairs its own affected deployments against the same
-// failure set, so a rack failure spanning tenants on different shards
-// repairs every affected chain exactly once. Reports merge in ID
-// order; err carries the first failed or permanently-busy repair.
-func (s *Sharded) HandleFailures(nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
-	return s.HandleFailuresCtx(context.Background(), nodes, links)
-}
-
-// HandleFailuresCtx is HandleFailures carrying a request context: every
-// shard's repair spans join the trace the context carries.
-func (s *Sharded) HandleFailuresCtx(ctx context.Context, nodes []topology.NodeID, links []topology.LinkID) ([]RepairReport, error) {
-	if len(nodes) == 0 && len(links) == 0 {
-		return nil, nil
+// RecoverNode marks a failed node as live again. Existing deployments
+// are not rebalanced inline; the emitted recovery event lets an
+// attached background optimizer refresh degraded standbys and re-home
+// drifted placements, and new deployments may use the node
+// immediately.
+func (o *Orchestrator) RecoverNode(node topology.NodeID) error {
+	o.topoMu.Lock()
+	if err := o.topo.SetNodeDown(node, false); err != nil {
+		o.topoMu.Unlock()
+		return fmt.Errorf("orch: recover node: %w", err)
 	}
-	dead, err := s.shards[0].markFailuresDown(nodes, links)
-	if err != nil {
-		return nil, err
-	}
-	perShard := make([][]RepairReport, len(s.shards))
-	runPool(len(s.shards), 0, func(i int) {
-		perShard[i] = s.shards[i].reconcileFailures(ctx, dead)
-	})
-	domain := s.shards[0].failureDomain(dead)
-	var reports []RepairReport
-	for i, sh := range s.shards {
-		sh.emitRepairEvents(perShard[i], domain)
-		reports = append(reports, perShard[i]...)
-	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].ID < reports[j].ID })
-	return reports, firstRepairError(reports)
+	o.InvalidateVMCache()
+	o.topoMu.Unlock()
+	o.emit(Event{Kind: EventNodeRecovered, Node: node})
+	return nil
 }
 
-// RecoverNode marks a failed node live again (shared-core state, done
-// once) and emits one recovery event for the optimizer sweep.
-func (s *Sharded) RecoverNode(node topology.NodeID) error { return s.shards[0].RecoverNode(node) }
+// RecoverLink marks a failed link as live again. Existing deployments
+// are not rerouted back inline; the emitted recovery event lets an
+// attached background optimizer refresh standbys planned around the
+// outage, and new paths may use the link immediately.
+func (o *Orchestrator) RecoverLink(link topology.LinkID) error {
+	o.topoMu.Lock()
+	if err := o.topo.SetLinkDown(link, false); err != nil {
+		o.topoMu.Unlock()
+		return fmt.Errorf("orch: recover link: %w", err)
+	}
+	// A recovered PM↔ToR link can bring stranded VMs back.
+	o.InvalidateVMCache()
+	o.topoMu.Unlock()
+	o.emit(Event{Kind: EventLinkRecovered, Link: link})
+	return nil
+}
 
-// RecoverLink marks a failed link live again and emits one recovery
-// event.
-func (s *Sharded) RecoverLink(link topology.LinkID) error { return s.shards[0].RecoverLink(link) }
-
-// NodeImpact merges every shard's blast-radius entries for the node,
-// sorted by ID (shard entry sets are disjoint by construction).
-func (s *Sharded) NodeImpact(node topology.NodeID) []ImpactEntry {
+// NodeImpact answers the operator-planning question "what breaks if
+// this node dies": every active deployment whose footprint includes the
+// node, straight from the shards' reverse indexes (no scan), sorted by
+// ID.
+func (o *Orchestrator) NodeImpact(node topology.NodeID) []ImpactEntry {
 	var out []ImpactEntry
-	for _, sh := range s.shards {
+	for _, sh := range o.shards {
 		out = append(out, sh.NodeImpact(node)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// LinkImpact merges every shard's blast-radius entries for the link.
-func (s *Sharded) LinkImpact(link topology.LinkID) []ImpactEntry {
+// LinkImpact is the link variant of NodeImpact: every active deployment
+// whose primary or standby path crosses the link, sorted by ID.
+func (o *Orchestrator) LinkImpact(link topology.LinkID) []ImpactEntry {
 	var out []ImpactEntry
-	for _, sh := range s.shards {
+	for _, sh := range o.shards {
 		out = append(out, sh.LinkImpact(link)...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// SetEventSink attaches the sink to every shard. Purely observational;
-// see Orchestrator.SetEventSink.
-func (s *Sharded) SetEventSink(sink EventSink) {
-	for _, sh := range s.shards {
-		sh.SetEventSink(sink)
-	}
+// SetEventSink attaches (or, with nil, detaches) the event sink every
+// shard emits into. Attaching a sink is purely observational —
+// telemetry bridges and event muxes may subscribe freely; whether
+// repairs defer standby replanning to a background optimizer is a
+// separate switch (SetDeferReprotect), flipped only when an optimizer
+// is actually consuming the events.
+func (o *Orchestrator) SetEventSink(s EventSink) {
+	o.setHooks(func(h *hooks) { h.sink = s })
 }
 
-// SetDeferReprotect flips deferred standby replanning on every shard;
-// see Orchestrator.SetDeferReprotect.
-func (s *Sharded) SetDeferReprotect(v bool) {
-	for _, sh := range s.shards {
-		sh.SetDeferReprotect(v)
-	}
+// SetDeferReprotect switches standby replanning between inline and
+// deferred mode. Deferred: repair re-runs of the pipeline stop
+// planning standbys inline — Yen's search leaves the recovery hot
+// path entirely — and instead rely on a background optimizer
+// re-protecting the chain from the emitted repair-completed event.
+// Provision-time standby planning is unaffected. Only flip this on
+// when such an optimizer is subscribed, or repaired chains stay
+// unprotected.
+func (o *Orchestrator) SetDeferReprotect(v bool) {
+	o.setHooks(func(h *hooks) { h.deferReprotect = v })
 }
 
-// SetStageObserver attaches the pipeline-stage latency observer to
-// every shard; see Orchestrator.SetStageObserver.
-func (s *Sharded) SetStageObserver(fn func(stage string, d time.Duration)) {
-	for _, sh := range s.shards {
-		sh.SetStageObserver(fn)
-	}
+// SetStageObserver installs (or, with nil, removes) the per-stage
+// pipeline latency hook, called once per executed stage with the stage
+// name and its wall-clock duration. The observer runs synchronously
+// inside the provisioning/repair pipeline and must only record, never
+// call back into the orchestrator.
+func (o *Orchestrator) SetStageObserver(fn func(stage string, d time.Duration)) {
+	o.setHooks(func(h *hooks) { h.stageObs = fn })
 }
 
-// SetRehomeObserver attaches the re-home churn observer to every
-// shard; see Orchestrator.SetRehomeObserver.
-func (s *Sharded) SetRehomeObserver(fn func(fromRack, toRack int)) {
-	for _, sh := range s.shards {
-		sh.SetRehomeObserver(fn)
-	}
+// SetRehomeObserver installs (or, with nil, removes) the re-home churn
+// hook, called once per committed VNF migration with source and
+// destination racks. Same contract as SetStageObserver: record only.
+func (o *Orchestrator) SetRehomeObserver(fn func(fromRack, toRack int)) {
+	o.setHooks(func(h *hooks) { h.rehomeObs = fn })
 }
 
-// SetTracer attaches the tracer to every shard; see
-// Orchestrator.SetTracer.
-func (s *Sharded) SetTracer(tr *trace.Tracer) {
-	for _, sh := range s.shards {
-		sh.SetTracer(tr)
-	}
+// SetTracer installs (or, with nil, removes) the span tracer. With a
+// tracer attached, Provision/Delete and every reconciliation repair
+// record a span, each executed pipeline stage becomes a child span,
+// and repair-completed events carry their repair span's identity so
+// downstream consumers (debouncer, optimizer) continue the trace.
+// A nil tracer leaves the hot paths with zero span allocations.
+func (o *Orchestrator) SetTracer(tr *trace.Tracer) {
+	o.setHooks(func(h *hooks) { h.tr = tr })
 }
 
 // TopologyJSON serializes the shared topology consistently with
 // respect to concurrent failure injection and repair.
-func (s *Sharded) TopologyJSON() ([]byte, error) { return s.shards[0].TopologyJSON() }
+func (o *Orchestrator) TopologyJSON() ([]byte, error) {
+	o.topoMu.RLock()
+	defer o.topoMu.RUnlock()
+	return json.Marshal(o.topo)
+}
 
 // ControllerOf returns the SDN controller of the shard owning the
 // deployment ID — flow rules live in the owning shard's tables.
-func (s *Sharded) ControllerOf(id DeploymentID) *sdn.Controller { return s.owner(id).ctrl }
+func (o *Orchestrator) ControllerOf(id DeploymentID) *sdn.Controller { return o.owner(id).ctrl }
 
 // PathComputations sums shortest-path runs across shard controllers.
-func (s *Sharded) PathComputations() int {
+func (o *Orchestrator) PathComputations() int {
 	n := 0
-	for _, sh := range s.shards {
+	for _, sh := range o.shards {
 		n += sh.ctrl.PathComputations()
 	}
 	return n
 }
 
 // YenRuns sums Yen's k-shortest invocations across shard controllers.
-func (s *Sharded) YenRuns() int {
+func (o *Orchestrator) YenRuns() int {
 	n := 0
-	for _, sh := range s.shards {
+	for _, sh := range o.shards {
 		n += sh.ctrl.YenRuns()
 	}
 	return n
 }
 
 // RuleCount sums installed flow rules across shard controllers.
-func (s *Sharded) RuleCount() int {
+func (o *Orchestrator) RuleCount() int {
 	n := 0
-	for _, sh := range s.shards {
+	for _, sh := range o.shards {
 		n += sh.ctrl.RuleCount()
 	}
 	return n
@@ -513,8 +444,8 @@ func (s *Sharded) RuleCount() int {
 
 // CandidateCacheStats sums the path-candidate cache hit/miss counters
 // across shard controllers.
-func (s *Sharded) CandidateCacheStats() (hits, misses int64) {
-	for _, sh := range s.shards {
+func (o *Orchestrator) CandidateCacheStats() (hits, misses int64) {
+	for _, sh := range o.shards {
 		h, m := sh.ctrl.AlternativesCacheStats()
 		hits += h
 		misses += m
@@ -525,8 +456,11 @@ func (s *Sharded) CandidateCacheStats() (hits, misses int64) {
 // ShardStat is one shard's slice of the fleet, for metrics endpoints
 // and the scale bench.
 type ShardStat struct {
-	Shard            int    `json:"shard"`
-	Active           int    `json:"active"`
+	Shard  int `json:"shard"`
+	Active int `json:"active"`
+	// Deleted and Failed count the shard's retained tombstones — the
+	// most recent deleted or failed records, at most tombstoneRing in
+	// total — not all-time deletes or failures.
 	Deleted          int    `json:"deleted"`
 	Failed           int    `json:"failed"`
 	Repairs          int    `json:"repairs"`
@@ -545,27 +479,28 @@ type ShardStat struct {
 }
 
 // ShardStats returns one entry per shard, in shard order.
-func (s *Sharded) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(s.shards))
-	for i, sh := range s.shards {
+func (o *Orchestrator) ShardStats() []ShardStat {
+	out := make([]ShardStat, len(o.shards))
+	for i, sh := range o.shards {
 		out[i] = sh.shardStat()
 	}
 	return out
 }
 
 // shardStat summarizes this shard's deployments and controller load.
-func (o *Orchestrator) shardStat() ShardStat {
+func (o *shard) shardStat() ShardStat {
 	st := ShardStat{
-		Shard:            o.shard,
+		Shard:            o.index,
 		OPSPool:          o.alloc.PoolSize(),
 		PathComputations: o.ctrl.PathComputations(),
 		YenRuns:          o.ctrl.YenRuns(),
 		InstalledRules:   o.ctrl.RuleCount(),
-		BusyOps:          o.BusyOps(),
 	}
 	st.CandidateCacheHits, st.CandidateCacheMisses = o.ctrl.AlternativesCacheStats()
-	st.ProvisionOK, st.ProvisionFailed = o.ProvisionOutcomes()
+	st.ProvisionOK, st.ProvisionFailed = o.provisionOutcomes()
 	o.mu.Lock()
+	st.BusyOps = len(o.busy)
+	st.Repairs = o.droppedRepairs
 	for _, dep := range o.deployments {
 		switch dep.State {
 		case StateActive:

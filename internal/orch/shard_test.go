@@ -32,13 +32,51 @@ func shardTopo(t *testing.T, opsCount int) *topology.Topology {
 	return topo
 }
 
-func newSharded(t *testing.T, topo *topology.Topology, n int, mode ShardMode) *Sharded {
+func newSharded(t *testing.T, topo *topology.Topology, n int, mode ShardMode) *Orchestrator {
 	t.Helper()
-	s, err := NewSharded(Config{Topo: topo}, n, mode)
+	o, err := New(Config{Topo: topo, Shards: n, ShardMode: mode})
 	if err != nil {
-		t.Fatalf("NewSharded(%d): %v", n, err)
+		t.Fatalf("New(%d shards): %v", n, err)
 	}
-	return s
+	return o
+}
+
+// assertRoutedToOwner checks that every deployment lives on the shard
+// its ID decodes to, and on no other.
+func assertRoutedToOwner(t *testing.T, o *Orchestrator, deps []*Deployment) {
+	t.Helper()
+	for _, dep := range deps {
+		owner := o.ShardOf(dep.ID)
+		for i := 0; i < o.Shards(); i++ {
+			if got := o.Shard(i).Deployment(dep.ID) != nil; got != (i == owner) {
+				t.Fatalf("deployment %d on shard %d: %v, owner is shard %d", dep.ID, i, got, owner)
+			}
+		}
+	}
+}
+
+// assertDrainsClean deletes every active deployment and checks the
+// fleet holds nothing: zero installed rules and every shard's OPS pool
+// fully free.
+func assertDrainsClean(t *testing.T, o *Orchestrator) {
+	t.Helper()
+	for _, dep := range o.Deployments() {
+		if dep.State != StateActive {
+			continue
+		}
+		if err := o.Delete(dep.ID); err != nil {
+			t.Fatalf("delete %d: %v", dep.ID, err)
+		}
+	}
+	if n := o.RuleCount(); n != 0 {
+		t.Fatalf("%d flow rules left after delete-all", n)
+	}
+	for i := 0; i < o.Shards(); i++ {
+		a := o.Shard(i).Allocator()
+		if free, pool := len(a.AvailableOPS()), a.PoolSize(); free != pool {
+			t.Fatalf("shard %d: %d of %d pool OPSs free after delete-all", i, free, pool)
+		}
+	}
 }
 
 func tenantSpec(t *testing.T, i int) chain.Spec {
@@ -52,27 +90,31 @@ func tenantSpec(t *testing.T, i int) chain.Spec {
 }
 
 func TestShardRouterDeterministicAndStride(t *testing.T) {
-	r := NewShardRouter(4, ShardByTenant)
-	if got := r.ShardForKey("t-7", "a"); got != r.ShardForKey("t-7", "b") {
-		t.Fatalf("tenant mode hashed the name: %d vs %d", got, r.ShardForKey("t-7", "b"))
+	topo := shardTopo(t, 16)
+	key := func(o *Orchestrator, tenant, name string) int {
+		return o.shardFor(chain.Spec{Tenant: tenant, Name: name}).index
+	}
+	r := newSharded(t, topo, 4, ShardByTenant)
+	if got := key(r, "t-7", "a"); got != key(r, "t-7", "b") {
+		t.Fatalf("tenant mode hashed the name: %d vs %d", got, key(r, "t-7", "b"))
 	}
 	for i := 0; i < 100; i++ {
 		tn := fmt.Sprintf("t-%d", i)
-		if a, b := r.ShardForKey(tn, "x"), r.ShardForKey(tn, "x"); a != b {
+		if a, b := key(r, tn, "x"), key(r, tn, "x"); a != b {
 			t.Fatalf("routing not deterministic for %s: %d vs %d", tn, a, b)
 		}
 	}
-	rc := NewShardRouter(4, ShardByChain)
+	rc := newSharded(t, topo, 4, ShardByChain)
 	spread := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		spread[rc.ShardForKey("one-tenant", fmt.Sprintf("c-%d", i))] = true
+		spread[key(rc, "one-tenant", fmt.Sprintf("c-%d", i))] = true
 	}
 	if len(spread) < 2 {
 		t.Fatalf("chain mode kept one tenant on %d shard(s)", len(spread))
 	}
 	// ID-stride round trip: shard s of n issues IDs s+1, s+1+n, ...
 	for n := 1; n <= 16; n *= 4 {
-		rn := NewShardRouter(n, ShardByTenant)
+		rn := newSharded(t, topo, n, ShardByTenant)
 		for s := 0; s < n; s++ {
 			for k := 0; k < 3; k++ {
 				id := DeploymentID(s + 1 + k*n)
@@ -84,9 +126,20 @@ func TestShardRouterDeterministicAndStride(t *testing.T) {
 	}
 }
 
+// TestShardedCrossShardFailureRepairsEachChainOnce runs one batch
+// failure over a one-shard and a four-shard fleet: the same
+// exactly-once, routing and clean-drain assertions hold for both.
 func TestShardedCrossShardFailureRepairsEachChainOnce(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			testBatchFailureRepairsEachChainOnce(t, n)
+		})
+	}
+}
+
+func testBatchFailureRepairsEachChainOnce(t *testing.T, n int) {
 	const chains = 24
-	s := newSharded(t, shardTopo(t, 2*chains), 4, ShardByTenant)
+	s := newSharded(t, shardTopo(t, 2*chains), n, ShardByTenant)
 	deps := make([]*Deployment, chains)
 	for i := range deps {
 		dep, err := s.Provision(tenantSpec(t, i))
@@ -95,10 +148,12 @@ func TestShardedCrossShardFailureRepairsEachChainOnce(t *testing.T) {
 		}
 		deps[i] = dep
 	}
+	assertRoutedToOwner(t, s, deps)
 
 	// One failure event spanning shards: the first slice OPS of one
 	// chain per shard, all killed in a single batch. Tenants hash to
-	// different shards, so the event crosses at least two of them.
+	// different shards, so with several shards the event crosses at
+	// least two of them.
 	victimOf := make(map[int]topology.NodeID)
 	for _, dep := range deps {
 		sh := s.ShardOf(dep.ID)
@@ -106,7 +161,7 @@ func TestShardedCrossShardFailureRepairsEachChainOnce(t *testing.T) {
 			victimOf[sh] = dep.Slice.OPSs[0]
 		}
 	}
-	if len(victimOf) < 2 {
+	if len(victimOf) < min(n, 2) {
 		t.Fatalf("fleet landed on %d shard(s); need a cross-shard event", len(victimOf))
 	}
 	var victims []topology.NodeID
@@ -162,6 +217,8 @@ func TestShardedCrossShardFailureRepairsEachChainOnce(t *testing.T) {
 			}
 		}
 	}
+	assertRoutedToOwner(t, s, deps)
+	assertDrainsClean(t, s)
 }
 
 func TestShardedDuplicateFlowKeyRejectedAcrossShards(t *testing.T) {
@@ -190,38 +247,73 @@ func TestShardedDuplicateFlowKeyRejectedAcrossShards(t *testing.T) {
 	}
 }
 
+// TestShardedDeleteVsRepairRaceAcrossShards deletes part of a fleet
+// while a batch failure repairs the rest. With two shards shard 0 is
+// deleted while shard 1 is repaired; with one shard one chain's slice
+// OPS fails and every chain outside its blast radius is deleted.
 func TestShardedDeleteVsRepairRaceAcrossShards(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			testDeleteVsRepairRace(t, n)
+		})
+	}
+}
+
+func testDeleteVsRepairRace(t *testing.T, n int) {
 	const chains = 16
-	s := newSharded(t, shardTopo(t, 2*chains), 2, ShardByTenant)
-	byShard := map[int][]*Deployment{}
+	s := newSharded(t, shardTopo(t, 2*chains), n, ShardByTenant)
+	var all []*Deployment
 	for i := 0; i < chains; i++ {
 		dep, err := s.Provision(tenantSpec(t, i))
 		if err != nil {
 			t.Fatalf("Provision %d: %v", i, err)
 		}
-		byShard[s.ShardOf(dep.ID)] = append(byShard[s.ShardOf(dep.ID)], dep)
+		all = append(all, dep)
 	}
-	if len(byShard[0]) == 0 || len(byShard[1]) == 0 {
-		t.Fatalf("fleet not spread over both shards: %d/%d", len(byShard[0]), len(byShard[1]))
+	assertRoutedToOwner(t, s, all)
+	hit := func(i int, dep *Deployment) bool {
+		if n > 1 {
+			return s.ShardOf(dep.ID) == 1
+		}
+		return i == 1
 	}
-
-	// Shard 0's chains are deleted while a batch failure event repairs
-	// shard 1's: the fan-out must not let one shard's exclusive verbs
-	// block or corrupt the other's reconciliation.
 	var victims []topology.NodeID
 	seen := map[topology.NodeID]bool{}
-	for _, dep := range byShard[1] {
-		if v := dep.Slice.OPSs[0]; !seen[v] {
+	for i, dep := range all {
+		if v := dep.Slice.OPSs[0]; hit(i, dep) && !seen[v] {
 			seen[v] = true
 			victims = append(victims, v)
 		}
 	}
+	blast := map[DeploymentID]bool{}
+	if n == 1 {
+		for _, v := range victims {
+			for _, e := range s.NodeImpact(v) {
+				blast[e.ID] = true
+			}
+		}
+	}
+	var doomed, repairing []*Deployment
+	for i, dep := range all {
+		if (n > 1 && s.ShardOf(dep.ID) == 0) || (n == 1 && !hit(i, dep) && !blast[dep.ID]) {
+			doomed = append(doomed, dep)
+		} else {
+			repairing = append(repairing, dep)
+		}
+	}
+	if len(doomed) == 0 || len(repairing) == 0 {
+		t.Fatalf("fleet not spread over both halves: %d/%d", len(doomed), len(repairing))
+	}
+
+	// The doomed chains are deleted while a batch failure event repairs
+	// the others: the fan-out must not let one side's exclusive verbs
+	// block or corrupt the other's reconciliation.
 	var wg sync.WaitGroup
 	var delErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, dep := range byShard[0] {
+		for _, dep := range doomed {
 			if err := s.Delete(dep.ID); err != nil && delErr == nil {
 				delErr = fmt.Errorf("delete %d: %w", dep.ID, err)
 			}
@@ -235,27 +327,39 @@ func TestShardedDeleteVsRepairRaceAcrossShards(t *testing.T) {
 	if repErr != nil {
 		t.Fatalf("HandleFailures: %v", repErr)
 	}
+	repairable := map[DeploymentID]bool{}
+	for _, dep := range repairing {
+		repairable[dep.ID] = true
+	}
 	for _, rep := range reports {
-		if s.ShardOf(rep.ID) != 1 {
-			t.Fatalf("repair report %d leaked from shard %d", rep.ID, s.ShardOf(rep.ID))
+		if !repairable[rep.ID] {
+			t.Fatalf("repair report %d leaked from the deleted half (shard %d)", rep.ID, s.ShardOf(rep.ID))
 		}
 		if !rep.Succeeded() {
 			t.Fatalf("repair of %d failed: action=%v err=%v", rep.ID, rep.Action, rep.Err)
 		}
 	}
-	for _, dep := range byShard[0] {
+	wantDeleted := make([]int, n)
+	wantActive := make([]int, n)
+	for _, dep := range doomed {
 		if cur := s.Deployment(dep.ID); cur == nil || cur.State != StateDeleted {
-			t.Fatalf("shard-0 deployment %d not deleted: %+v", dep.ID, cur)
+			t.Fatalf("doomed deployment %d not deleted: %+v", dep.ID, cur)
 		}
+		wantDeleted[s.ShardOf(dep.ID)]++
 	}
-	for _, dep := range byShard[1] {
+	for _, dep := range repairing {
 		if cur := s.Deployment(dep.ID); cur == nil || cur.State != StateActive {
-			t.Fatalf("shard-1 deployment %d not active after repair: %+v", dep.ID, cur)
+			t.Fatalf("deployment %d not active after repair: %+v", dep.ID, cur)
 		}
+		wantActive[s.ShardOf(dep.ID)]++
 	}
 	// Per-shard stats stay consistent with the merged view.
 	stats := s.ShardStats()
-	if stats[0].Deleted != len(byShard[0]) || stats[1].Active != len(byShard[1]) {
-		t.Fatalf("shard stats inconsistent: %+v", stats)
+	for i, st := range stats {
+		if st.Deleted != wantDeleted[i] || st.Active != wantActive[i] {
+			t.Fatalf("shard stats inconsistent: %+v, want deleted %v active %v", stats, wantDeleted, wantActive)
+		}
 	}
+	assertRoutedToOwner(t, s, all)
+	assertDrainsClean(t, s)
 }

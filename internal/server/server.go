@@ -210,7 +210,7 @@ func (s *Server) handleProvisionBatch(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 || workers > ceiling {
 		workers = ceiling
 	}
-	results := s.arch.Sharded().ProvisionBatch(req.Specs, workers)
+	results := s.arch.Orchestrator().ProvisionBatch(req.Specs, workers)
 	resp := BatchResponse{Results: make([]BatchItemJSON, len(results))}
 	for i, res := range results {
 		item := BatchItemJSON{Index: res.Index}

@@ -12,6 +12,7 @@ import (
 
 	"github.com/alvc/alvc"
 	"github.com/alvc/alvc/internal/chain"
+	"github.com/alvc/alvc/internal/orch"
 	"github.com/alvc/alvc/internal/topology"
 )
 
@@ -344,6 +345,47 @@ func TestDeleteTwice409(t *testing.T) {
 	}
 }
 
+// TestDeleteChurnKeepsRecentTombstones: after 2,000 provision/delete
+// cycles the most recent delete still reads back as deleted over HTTP,
+// the oldest is gone (404), and the listing and the metrics count only
+// the retained tombstones instead of every delete ever made.
+func TestDeleteChurnKeepsRecentTombstones(t *testing.T) {
+	const cycles = 2000
+	ts, arch := newTestServer(t)
+	spec := mustSpec(t, specBody("churn", "t1", "web", "nat"))
+	var first, last alvc.DeploymentID
+	for i := 0; i < cycles; i++ {
+		dep, err := arch.Deploy(spec)
+		if err != nil {
+			t.Fatalf("cycle %d: deploy: %v", i, err)
+		}
+		if err := arch.Delete(dep.ID); err != nil {
+			t.Fatalf("cycle %d: delete: %v", i, err)
+		}
+		if i == 0 {
+			first = dep.ID
+		}
+		last = dep.ID
+	}
+	status, body := do(t, "GET", fmt.Sprintf("%s/v1/chains/%d", ts.URL, last), nil)
+	if status != http.StatusOK {
+		t.Fatalf("GET most recent delete: %d (%s)", status, body)
+	}
+	if got := mustUnmarshal[DeploymentJSON](t, body); got.State != "deleted" {
+		t.Fatalf("most recent delete: state %s, want deleted", got.State)
+	}
+	if status, _ = do(t, "GET", fmt.Sprintf("%s/v1/chains/%d", ts.URL, first), nil); status != http.StatusNotFound {
+		t.Fatalf("GET oldest delete: %d, want 404", status)
+	}
+	_, body = do(t, "GET", ts.URL+"/v1/chains", nil)
+	list := mustUnmarshal[[]DeploymentJSON](t, body)
+	_, body = do(t, "GET", ts.URL+"/v1/metrics", nil)
+	m := mustUnmarshal[MetricsResponse](t, body)
+	if len(list) > cycles/10 || m.Deployments.Deleted != len(list) || m.Deployments.Active != 0 {
+		t.Fatalf("after %d delete cycles: %d listed, metrics %+v", cycles, len(list), m.Deployments)
+	}
+}
+
 func TestBatchProvision(t *testing.T) {
 	ts, _ := newTestServerWith(t, wideConfig(64))
 	var req BatchRequest
@@ -447,9 +489,7 @@ func TestConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 
 	// Invariants survived the storm: ALs disjoint, state readable.
-	if !arch.Orchestrator().Allocator().Disjoint() {
-		t.Fatal("ALs are not disjoint after concurrent traffic")
-	}
+	assertFleetDisjoint(t, arch.Orchestrator())
 	status, _ := do(t, "GET", ts.URL+"/v1/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("final metrics: %d", status)
@@ -491,5 +531,36 @@ func TestHealthz(t *testing.T) {
 	status, _ := do(t, "GET", ts.URL+"/healthz", nil)
 	if status != http.StatusOK {
 		t.Fatalf("healthz: %d", status)
+	}
+}
+
+// assertFleetDisjoint checks the one-OPS-one-AL rule across the whole
+// fleet: every shard's allocator keeps its ALs disjoint, the shard OPS
+// pools are pairwise disjoint, and no OPS is owned by ALs on two
+// shards.
+func assertFleetDisjoint(t *testing.T, o *orch.Orchestrator) {
+	t.Helper()
+	owner := map[topology.NodeID]int{}
+	for i := 0; i < o.Shards(); i++ {
+		a := o.Shard(i).Allocator()
+		if !a.Disjoint() {
+			t.Fatalf("shard %d: ALs are not disjoint", i)
+		}
+		for j := i + 1; j < o.Shards(); j++ {
+			other := o.Shard(j).Allocator().Pool()
+			for ops := range a.Pool() {
+				if other[ops] {
+					t.Fatalf("OPS %d is in the pools of shards %d and %d", ops, i, j)
+				}
+			}
+		}
+		for _, vc := range a.VCs() {
+			for _, ops := range vc.AL.OPSs {
+				if prev, ok := owner[ops]; ok && prev != i {
+					t.Fatalf("OPS %d is owned by ALs on shards %d and %d", ops, prev, i)
+				}
+				owner[ops] = i
+			}
+		}
 	}
 }

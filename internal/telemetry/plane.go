@@ -86,11 +86,11 @@ func NewPlaneWith(arch *alvc.Architecture, opts PlaneOptions) *Plane {
 	p.registerTrace()
 	p.registerRuntime()
 
-	sh := arch.Sharded()
-	sh.SetStageObserver(func(stage string, d time.Duration) {
+	o := arch.Orchestrator()
+	o.SetStageObserver(func(stage string, d time.Duration) {
 		p.stageSeconds.WithLabelValues(stage).Observe(d.Seconds())
 	})
-	sh.SetRehomeObserver(func(fromRack, toRack int) {
+	o.SetRehomeObserver(func(fromRack, toRack int) {
 		p.rehomeChurn.WithLabelValues(strconv.Itoa(fromRack), "from").Inc()
 		p.rehomeChurn.WithLabelValues(strconv.Itoa(toRack), "to").Inc()
 	})
@@ -161,7 +161,7 @@ func (p *Plane) registerOrch() {
 			return out
 		})
 	p.reg.GaugeFunc("alvc_orch_deployments",
-		"Deployments by shard and lifecycle state.",
+		"Deployments by shard and lifecycle state (deleted and failed count the retained tombstones).",
 		[]string{"shard", "state"}, func() []Sample {
 			var out []Sample
 			for _, st := range arch.ShardStats() {

@@ -155,6 +155,7 @@ func (s *Store) add(sp Span) {
 	if !ok {
 		e = &entry{id: sp.TraceID, kind: sp.Kind, minStart: sp.Start, maxEnd: sp.End}
 		s.traces[sp.TraceID] = e
+		s.compactOrder()
 		s.order = append(s.order, sp.TraceID)
 		s.pushRecent(e)
 	}
@@ -190,12 +191,15 @@ func (s *Store) add(sp Span) {
 // written) until one more span fits under MaxSpans.
 func (s *Store) makeRoom(exclude string) {
 	for s.total+1 > s.opts.MaxSpans {
+		// IDs of traces already freed through a retention ring are
+		// stale; drop them from the front so each eviction costs O(1)
+		// amortized instead of a scan over every trace ever recorded.
+		for len(s.order) > 0 && s.traces[s.order[0]] == nil {
+			s.order = s.order[1:]
+		}
 		idx := -1
 		for i, id := range s.order {
-			if _, ok := s.traces[id]; !ok {
-				continue // stale; compacted below when chosen-past
-			}
-			if id != exclude {
+			if id != exclude && s.traces[id] != nil {
 				idx = i
 				break
 			}
@@ -204,9 +208,29 @@ func (s *Store) makeRoom(exclude string) {
 			return
 		}
 		id := s.order[idx]
-		s.order = append(s.order[:idx], s.order[idx+1:]...)
+		if idx == 0 {
+			s.order = s.order[1:]
+		} else {
+			s.order = append(s.order[:idx], s.order[idx+1:]...)
+		}
 		s.forceEvict(s.traces[id])
 	}
+}
+
+// compactOrder drops stale IDs from the creation order once they
+// outnumber the live traces, so the order stays proportional to the
+// live traces even when the span budget is never reached.
+func (s *Store) compactOrder() {
+	if len(s.order) <= 2*len(s.traces)+64 {
+		return
+	}
+	live := make([]string, 0, 2*len(s.traces))
+	for _, id := range s.order {
+		if s.traces[id] != nil {
+			live = append(live, id)
+		}
+	}
+	s.order = live
 }
 
 // forceEvict removes e from every retention set and frees it.

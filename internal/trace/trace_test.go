@@ -183,6 +183,32 @@ func TestStoreMaxSpansBudget(t *testing.T) {
 	}
 }
 
+// TestStoreOrderStaysBounded: the creation order sheds the IDs of
+// traces freed through their recent ring, with or without budget
+// pressure, so it tracks the live traces instead of every trace ever
+// recorded.
+func TestStoreOrderStaysBounded(t *testing.T) {
+	for _, opts := range []StoreOptions{
+		{RecentPerKind: 4},                // ring eviction only
+		{RecentPerKind: 64, MaxSpans: 16}, // forced eviction too
+	} {
+		st := NewStore(opts)
+		for i := 0; i < 5000; i++ {
+			kind := KindRepair
+			if i%3 == 0 {
+				kind = KindProvision
+			}
+			st.add(mkSpan(fmt.Sprintf("t%d", i), SpanID(i+1), 0, kind, time.Millisecond))
+		}
+		st.mu.Lock()
+		order, live := len(st.order), len(st.traces)
+		st.mu.Unlock()
+		if order > 2*live+65 {
+			t.Fatalf("%+v: order holds %d IDs for %d live traces", opts, order, live)
+		}
+	}
+}
+
 // TestChainTraces: the per-deployment index keeps the last ChainDepth
 // traces, most recent first.
 func TestChainTraces(t *testing.T) {
